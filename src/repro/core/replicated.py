@@ -46,7 +46,7 @@ class ProtocolShared:
 
     Protocols constructed without a shared object (``shared=None``) build
     a private one — the seed-shaped per-process construction the
-    equivalence suite compares against (``Job(shared_state=False)``).
+    equivalence suite compares against (``tests/reference``).
     """
 
     __slots__ = (

@@ -127,7 +127,7 @@ class JobResult:
     fabric: dict
     #: kernel events dispatched (simulation effort metric)
     events: int
-    #: job-wide payload-intern accounting (Job ``interning`` flag): how
+    #: job-wide payload-intern accounting (``Job.interner``): how
     #: many payload snapshots collapsed onto a canonical object vs passed
     #: through (uninternable type, first sighting, or table full)
     payload_interned: int = 0
@@ -170,12 +170,6 @@ class Job:
         seed: int = 0,
         jitter: Optional[Callable[[], float]] = None,
         recorder_factory: Optional[Callable[[int, int], Any]] = None,
-        pooling: bool = True,
-        bucketed: bool = True,
-        shared_state: bool = True,
-        interning: bool = True,
-        arena_trim: bool = True,
-        matching: str = "indexed",
         detector: Optional[DetectorConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         shape: Optional[JobShape] = None,
@@ -197,11 +191,6 @@ class Job:
             # Reusing a cached shape is only sound when the job would have
             # built the very same values — enforce it instead of trusting
             # the sweep executor's keying.
-            if not shared_state:
-                raise ValueError(
-                    "Job(shape=...) requires shared_state=True — the seed-shaped "
-                    "private construction cannot reuse a shared shape"
-                )
             if shape.n_ranks != n_ranks or shape.cfg != self.cfg:
                 raise ValueError(
                     f"shape mismatch: shape is ({shape.n_ranks} ranks, {shape.cfg}), "
@@ -215,41 +204,12 @@ class Job:
         self.rmap = shape.rmap
         self.cluster = shape.cluster
         self.placement: Placement = shape.placement
-        #: ``bucketed=False`` keeps every queue insertion on the kernel heap
-        #: (the seed-shaped reference mode) — the two-level-queue equivalence
-        #: suite proves the bucketed engine observationally identical to it.
-        self.sim = Simulator(bucketed=bucketed)
+        self.sim = Simulator()
         self.rng = RngRegistry(seed)
-        #: ``pooling=False`` bypasses the Frame and Envelope arenas (every
-        #: acquire constructs fresh) while keeping the ownership accounting
-        #: intact — the equivalence suite proves the pooled engine
-        #: observationally identical to this mode.
-        self.pooling = pooling
-        #: ``shared_state=False`` gives every stack seed-shaped *private*
-        #: copies of the flyweight state (cost rows, protocol config, world
-        #: communicator members) — the executable spec the shared-state
-        #: equivalence suite compares against.  Values are identical either
-        #: way; only the sharing differs.
-        self.shared_state = shared_state
-        self._world_shared = shape.world_shared if shared_state else None
-        #: ``interning=False`` disables the job-wide payload intern table
-        #: (every snapshot stays a distinct object — the seed-shaped spec
-        #: mode the interning equivalence suite compares against)
-        self.interning = interning
-        self.interner: Optional[PayloadInterner] = PayloadInterner() if interning else None
-        #: ``arena_trim=False`` keeps the free lists growing to their
-        #: all-time peak (the historical behaviour); the trim is pure
-        #: memory policy — both modes are fingerprint-identical
-        self.arena_trim = arena_trim
-        if matching not in ("indexed", "linear"):
-            raise ValueError(
-                f"matching must be 'indexed' or 'linear', got {matching!r}"
-            )
-        #: ``matching="linear"`` runs every PML on :class:`LinearMatchEngine`
-        #: (the executable matching spec) instead of the indexed SoA engine
-        self.matching = matching
+        self._world_shared = shape.world_shared
+        #: job-wide payload intern table shared by every PML
+        self.interner = PayloadInterner()
         self.fabric = Fabric(self.sim, self.placement, jitter=jitter, cost_table=shape.cost_table)
-        self.fabric.pool_frames = pooling
         if fault_plan is not None:
             # Seeded network adversary (drops/dups/delay windows/partitions);
             # a dedicated rng stream keeps fault draws independent of jitter
@@ -265,9 +225,9 @@ class Job:
             rng=self.rng.stream("membership") if detector is not None else None,
         )
         #: one read-only protocol config shared by every replica stack
-        #: (``shared_state=False`` → None → each protocol builds its own)
+        #: (``None`` for native jobs, which have no replication protocol)
         self._proto_shared: Optional[ProtocolShared] = None
-        if shared_state and self.cfg.protocol != "native":
+        if self.cfg.protocol != "native":
             # The shape carries a membership-less template shared across
             # same-shape jobs; only the membership binding is per-job.
             self._proto_shared = (
@@ -323,8 +283,7 @@ class Job:
                         self.fabric.endpoints[proc].alive = False
         for proc in range(self.rmap.n_procs):
             self._build_stack(proc)
-        if arena_trim:
-            self._install_trimmer()
+        self._install_trimmer()
         for absent_proc in sorted(self.absent):
             for proc, proto in self.protocols.items():
                 if proc in self.absent:
@@ -379,15 +338,7 @@ class Job:
         old_pml = self.pmls.get(proc)
         if old_pml is not None:
             self._retired_stacks.append((old_pml, self.protocols[proc]))
-        pml = Pml(
-            self.sim,
-            self.fabric,
-            proc,
-            shared_costs=self.shared_state,
-            interner=self.interner,
-            linear_matching=self.matching == "linear",
-        )
-        pml.pool_envelopes = self.pooling
+        pml = Pml(self.sim, self.fabric, proc, interner=self.interner)
         if self.cfg.protocol == "native":
             protocol = NativeProtocol(pml, world_rank=proc)
         else:
@@ -626,8 +577,8 @@ class Job:
                 **self.fabric.stats(),
             },
             events=self.sim.events_dispatched,
-            payload_interned=self.interner.hits if self.interner is not None else 0,
-            payload_misses=self.interner.misses if self.interner is not None else 0,
+            payload_interned=self.interner.hits,
+            payload_misses=self.interner.misses,
             requests_offered=requests.get("requests_offered", 0),
             requests_admitted=requests.get("requests_admitted", 0),
             requests_rejected=requests.get("requests_rejected", 0),

@@ -84,8 +84,8 @@ class MpiProcess:
             members, rank_map = world_shared
             self.world: Communicator = Communicator(self, ("w",), members, rank_map=rank_map)
         else:
-            # Seed-shaped private construction (direct API users, tests,
-            # Job(shared_state=False)).
+            # Seed-shaped private construction (direct API users, the
+            # shared-state reference in tests).
             self.world = Communicator(self, ("w",), range(world_size))
         #: optional event recorder installed by :mod:`repro.trace`
         self.recorder = None

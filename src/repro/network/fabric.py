@@ -72,9 +72,8 @@ class CostTable:
       irrelevant);
     * :attr:`node_of` is the one proc → node list every hot path indexes.
 
-    ``Job(shared_state=False)`` keeps the seed-shaped private-dicts
-    construction as the executable spec the equivalence suite compares
-    against.
+    The seed-shaped private-dicts construction survives as a test-side
+    reference (``tests/reference``) the footprint suite compares against.
     """
 
     __slots__ = ("placement", "node_of", "_models", "_send_rows", "_recv_rows")
@@ -256,15 +255,9 @@ class Endpoint:
         pwaiter = self._pwaiter
         if pwaiter is not None:
             # Wake the parked process exactly as a waiter event would: one
-            # queue entry at the current time (bucket append, or the
-            # seed-shaped heap push in heap-only mode).
+            # queue entry at the current time.
             self._pwaiter = None
-            sim = self.sim
-            if sim._bucketed:
-                sim._bucket.append(pwaiter)
-            else:
-                sim._seq += 1
-                heappush(sim._queue, (sim._now, sim._seq, pwaiter))
+            self.sim._bucket.append(pwaiter)
             return
         waiter = self._waiter
         if waiter is not None and not waiter.triggered:
@@ -346,9 +339,6 @@ class Fabric:
         #: free list of recycled Frame instances (see Frame docstring);
         #: bounded so pathological bursts cannot pin memory forever
         self._frame_pool: List[Frame] = []
-        #: ``False`` bypasses frame recycling (arena-equivalence tests)
-        #: while keeping the acquire/release accounting intact
-        self.pool_frames = True
         #: free-list accounting: every acquired frame must be released
         #: (checked at end-of-run by the harness on crash-free jobs)
         self.frames_acquired = 0
@@ -532,7 +522,7 @@ class Fabric:
         frame.payload = None
         frame.fabric = None
         pool = self._frame_pool
-        if self.pool_frames and len(pool) < 4096:
+        if len(pool) < 4096:
             pool.append(frame)
 
     # Same cushion rationale as Pml.TRIM_SLACK.
@@ -702,7 +692,7 @@ class Fabric:
         by_kind[kind] = by_kind.get(kind, 0) + 1
         frame.fabric = self
         sim = self.sim
-        if arrival > now or not sim._bucketed:
+        if arrival > now:
             sim._seq += 1
             heappush(sim._queue, (arrival, sim._seq, frame))
         else:
@@ -798,7 +788,7 @@ class Fabric:
         frame.payload = None
         frame.fabric = None
         pool = self._frame_pool
-        if self.pool_frames and len(pool) < 4096:
+        if len(pool) < 4096:
             pool.append(frame)
 
     def import_frame(self, src: int, dst: int, size: int, payload: Any, kind: str) -> Frame:

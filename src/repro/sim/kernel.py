@@ -27,13 +27,13 @@ holds for time *T* was pushed while ``now < T`` and therefore carries a
 lower sequence number than anything appended to the bucket once the clock
 reads *T* — so draining heap-at-now entries first, then the bucket (which
 preserves insertion order by construction), reproduces exactly the order
-the heap-only queue would have produced.  ``Simulator(bucketed=False)``
-keeps every insertion on the heap — the executable specification the
-equivalence suite (``tests/test_queue_equivalence.py``) compares against.
+a heap-only queue would have produced.  The heap-only queue survives as a
+test-side reference (``tests/reference``), which the queue equivalence
+suite compares this one against.
 
-Every now-time insertion site routes through this decision: the kernel's
-:meth:`Simulator.schedule`/:meth:`Simulator.schedule_at`, and the inlined
-hot paths in :mod:`repro.sim.sync` (zero-delay ``Event.succeed``,
+Every now-time insertion site appends to ``Simulator._bucket``: the
+kernel's :meth:`Simulator.schedule`/:meth:`Simulator.schedule_at`, and the
+inlined hot paths in :mod:`repro.sim.sync` (zero-delay ``Event.succeed``,
 ``Timeout``), :mod:`repro.sim.process` (zero CPU charges) and
 :mod:`repro.network.fabric` (endpoint wake-ups, zero-latency arrivals).
 Bucket entries carry no sequence number — the FIFO *is* the order — so
@@ -41,22 +41,21 @@ the dominant insertion also skips the counter increment and tuple build.
 
 Hot-path notes
 --------------
-:meth:`Simulator.run` dispatches a specialized no-trace loop when no
-``trace_hook`` is installed (the overwhelmingly common case): no per-event
-hook branch, no ``getattr`` fallback for ``cancelled``, locals hoisted out
-of the loop, and events sharing a virtual timestamp dispatched as one
-batch (see :meth:`Simulator._run_fast`).  Every schedulable object
-therefore **must** carry a
-``cancelled`` attribute (see :class:`EventLike`); a class-level
-``cancelled = False`` is enough for events that are never revoked.
-Install ``trace_hook`` before calling :meth:`run` — mid-run installation
-is not observed until the next ``run`` call.
+:meth:`Simulator.run` and the exclusive shard-window drain share one
+dispatch loop, :meth:`Simulator._drain`: no per-event hook branch, no
+``getattr`` fallback for ``cancelled``, locals hoisted out of the loop,
+and events sharing a virtual timestamp dispatched as one batch with one
+deadline compare per timestamp.  Every schedulable object therefore
+**must** carry a ``cancelled`` attribute (see :class:`EventLike`); a
+class-level ``cancelled = False`` is enough for events that are never
+revoked.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Optional
 
@@ -76,53 +75,33 @@ class StopSimulation(Exception):
 
 
 class Simulator:
-    """A deterministic discrete-event simulator.
-
-    Parameters
-    ----------
-    trace_hook:
-        Optional callable invoked as ``trace_hook(time, event)`` just before
-        each event fires; used by :mod:`repro.trace` for observability.
-        Running without a hook takes a faster specialized dispatch loop.
-    bucketed:
-        ``True`` (default) enables the near-horizon bucket for now-time
-        insertions; ``False`` keeps every insertion on the heap — the
-        seed-shaped reference mode the equivalence suite runs against.
-    """
+    """A deterministic discrete-event simulator."""
 
     __slots__ = (
         "_now",
         "_seq",
         "_queue",
         "_bucket",
-        "_bucketed",
         "_running",
         "_stopped",
-        "trace_hook",
         "on_advance",
         "events_dispatched",
     )
 
-    def __init__(
-        self,
-        trace_hook: Optional[Callable[[float, Any], None]] = None,
-        bucketed: bool = True,
-    ) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
         self._queue: list = []  # heap of (time, seq, event) — future times
         self._bucket: deque = deque()  # FIFO of events at the current time
-        self._bucketed = bucketed
         self._running = False
         self._stopped: Optional[StopSimulation] = None
-        self.trace_hook = trace_hook
         #: quiescent-point hook: a zero-argument callable invoked after all
         #: events at the current timestamp have fired, just before the
         #: clock advances.  Deliberately *not* a scheduled event — it never
         #: touches ``events_dispatched`` or the queue order, so enabling it
         #: is unobservable to determinism goldens.  The callee must not
         #: schedule events or raise; the harness uses it to trim arena
-        #: free lists between timestamp batches (Job ``arena_trim``).
+        #: free lists between timestamp batches.
         self.on_advance: Optional[Callable[[], None]] = None
         #: number of events dispatched so far (observability/bench metric)
         self.events_dispatched: int = 0
@@ -142,7 +121,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule event {delay} s in the past")
-        if delay or not self._bucketed:
+        if delay:
             self._seq += 1
             heapq.heappush(self._queue, (self._now + delay, self._seq, event))
         else:
@@ -155,7 +134,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={when} (now t={self._now})"
             )
-        if when > self._now or not self._bucketed:
+        if when > self._now:
             self._seq += 1
             heapq.heappush(self._queue, (when, self._seq, event))
         else:
@@ -174,151 +153,13 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> Any:
         """Dispatch events until the queue drains or *until* is reached.
 
-        Returns the value carried by :class:`StopSimulation` if the
-        simulation was stopped explicitly, else ``None``.
+        With *until*, events at exactly ``until`` fire and the clock parks
+        at ``until`` even if the queue drained earlier; without it the
+        clock stays at the last dispatched timestamp.  Returns the value
+        carried by :class:`StopSimulation` if the simulation was stopped
+        explicitly, else ``None``.
         """
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
-        self._stopped = None
-        # The dispatch loop allocates heavily (events, frames, generator
-        # frames) but creates almost no garbage cycles; pausing the cyclic
-        # collector for the duration avoids whole-heap scans mid-run.  It
-        # is restored whatever happens, and has no observable effect on
-        # simulation results.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if self.trace_hook is not None:
-                self._run_traced(until)
-            else:
-                self._run_fast(until)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self._running = False
-        return self._stopped.value if self._stopped is not None else None
-
-    def _run_fast(self, until: Optional[float]) -> None:
-        """Specialized dispatch loop: no trace hook, no defensive getattr.
-
-        Events sharing the current virtual time are dispatched as one
-        *batch*: heap entries at the current time first (they were pushed
-        before the clock reached it and carry lower sequence numbers),
-        then the near-horizon bucket in FIFO order — anything a batch
-        member schedules *at* the current time lands at the bucket's tail,
-        which is exactly where the heap-only queue's higher sequence
-        number would have placed it.  One clock store and deadline check
-        per timestamp, not per event.  ``events_dispatched`` is
-        accumulated in a local and written back on exit (including the
-        StopSimulation path), never observable mid-run by events
-        themselves — nothing in-tree reads it before :meth:`run` returns.
-        """
-        queue = self._queue
-        bucket = self._bucket
-        heappop = heapq.heappop
-        popleft = bucket.popleft
-        dispatched = self.events_dispatched
-        try:
-            if until is None:
-                # Unbounded drain (the overwhelmingly common call): no
-                # deadline comparison per timestamp.  Each phase is its
-                # own tight loop: heap entries at the current time pay one
-                # top-of-heap compare per event (exactly the old batching
-                # loop), bucket entries pay one truthiness check — firing
-                # a bucket event can append to the bucket but never push
-                # a same-time heap entry (now-time insertions are routed),
-                # which is what makes the phase split safe.
-                while True:
-                    now = self._now
-                    while queue and queue[0][0] == now:
-                        event = heappop(queue)[2]
-                        if not event.cancelled:
-                            dispatched += 1
-                            event.fire()
-                    while bucket:
-                        event = popleft()
-                        if not event.cancelled:
-                            dispatched += 1
-                            event.fire()
-                    if queue:
-                        when = queue[0][0]
-                        if when == now:
-                            # Unrouted same-time push (direct heappush by
-                            # embedding code): defensive re-drain.
-                            continue
-                        advance = self.on_advance
-                        if advance is not None:
-                            advance()
-                        self._now = when
-                    else:
-                        return
-            while True:
-                now = self._now
-                if now <= until:
-                    while queue and queue[0][0] == now:
-                        event = heappop(queue)[2]
-                        if not event.cancelled:
-                            dispatched += 1
-                            event.fire()
-                    while bucket:
-                        event = popleft()
-                        if not event.cancelled:
-                            dispatched += 1
-                            event.fire()
-                if not queue or queue[0][0] > until:
-                    self._now = until
-                    return
-                if queue[0][0] != now:
-                    advance = self.on_advance
-                    if advance is not None:
-                        advance()
-                    self._now = queue[0][0]
-        except StopSimulation as stop:
-            self._stopped = stop
-        finally:
-            self.events_dispatched = dispatched
-
-    def _run_traced(self, until: Optional[float]) -> None:
-        """Observability loop: invokes ``trace_hook`` before every event.
-
-        Same two-level drain order as :meth:`_run_fast`, one event at a
-        time so the hook observes each ``(time, event)`` pair.
-        """
-        queue = self._queue
-        bucket = self._bucket
-        while True:
-            now = self._now
-            if until is None or now <= until:
-                while True:
-                    if queue and queue[0][0] == now:
-                        event = heapq.heappop(queue)[2]
-                    elif bucket:
-                        event = bucket.popleft()
-                    else:
-                        break
-                    if getattr(event, "cancelled", False):
-                        continue
-                    self.trace_hook(self._now, event)
-                    self.events_dispatched += 1
-                    try:
-                        event.fire()
-                    except StopSimulation as stop:
-                        self._stopped = stop
-                        return
-            if not queue:
-                break
-            when = queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            advance = self.on_advance
-            if advance is not None:
-                advance()
-            self._now = when
-        if until is not None:
-            self._now = until
+        return self._drain(until, inclusive=True)
 
     def run_until_before(self, horizon: float) -> Any:
         """Dispatch every event with virtual time strictly below *horizon*.
@@ -331,11 +172,50 @@ class Simulator:
         window ``[W, W + lookahead)``, exchange cross-shard frames whose
         arrivals all land at ``>= W + lookahead``, and resume — without
         ever firing an event whose inputs a peer shard could still
-        change.  Kept as its own loop so the :meth:`_run_fast` hot path
-        stays branch-free.
+        change.
+        """
+        return self._drain(horizon, inclusive=False)
+
+    def _drain(self, horizon: Optional[float], inclusive: bool) -> Any:
+        """The one dispatch loop: inclusive for :meth:`run`, exclusive for
+        the shard-window drain.
+
+        Events sharing the current virtual time are dispatched as one
+        *batch*: heap entries at the current time first (they were pushed
+        before the clock reached it and carry lower sequence numbers),
+        then the near-horizon bucket in FIFO order — anything a batch
+        member schedules *at* the current time lands at the bucket's tail,
+        which is exactly where a heap-only queue's higher sequence number
+        would have placed it.  Firing a bucket event can append to the
+        bucket but never push a same-time heap entry (now-time insertions
+        are routed to the bucket), which is what makes the phase split
+        safe.
+
+        The horizon becomes one exclusive ``limit`` up front (for an
+        inclusive horizon, the next float above it), so the deadline costs
+        one compare per timestamp, never one per event.  An inclusive
+        horizon below the current time raises :class:`SimulationError`:
+        parking the clock there would rewind it.  An exclusive one at or
+        below the current time fires nothing and leaves the clock alone —
+        a shard whose clock already passed a window's horizon simply sits
+        that window out.
+
+        ``events_dispatched`` is accumulated in a local and written back on
+        exit (including the StopSimulation path); nothing in-tree reads it
+        mid-run.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
+        if horizon is None:
+            limit = math.inf
+        elif not inclusive:
+            limit = horizon
+        elif horizon < self._now:
+            raise SimulationError(
+                f"cannot run to t={horizon}: the clock already reads t={self._now}"
+            )
+        else:
+            limit = math.nextafter(horizon, math.inf)
         self._running = True
         self._stopped = None
         queue = self._queue
@@ -343,14 +223,17 @@ class Simulator:
         heappop = heapq.heappop
         popleft = bucket.popleft
         dispatched = self.events_dispatched
+        # The dispatch loop allocates heavily (events, frames, generator
+        # frames) but creates almost no garbage cycles; pausing the cyclic
+        # collector for the duration avoids whole-heap scans mid-run.  It
+        # is restored whatever happens, and has no observable effect on
+        # simulation results.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            while True:
-                now = self._now
-                if now >= horizon:
-                    break
+            now = self._now
+            while now < limit:
                 while queue and queue[0][0] == now:
                     event = heappop(queue)[2]
                     if not event.cancelled:
@@ -365,13 +248,17 @@ class Simulator:
                     break
                 when = queue[0][0]
                 if when == now:
+                    # Unrouted same-time push (direct heappush by
+                    # embedding code): defensive re-drain.
                     continue
-                if when >= horizon:
+                if when >= limit:
                     break
                 advance = self.on_advance
                 if advance is not None:
                     advance()
-                self._now = when
+                self._now = now = when
+            if inclusive and horizon is not None:
+                self._now = horizon
         except StopSimulation as stop:
             self._stopped = stop
         finally:
@@ -438,8 +325,8 @@ class EventLike:
     Anything with a ``fire()`` method and a ``cancelled`` attribute
     qualifies; :class:`repro.sim.sync.Event` is the canonical
     implementation.  ``cancelled`` is **required** (a class attribute
-    ``cancelled = False`` suffices): the no-trace dispatch loop reads it
-    directly instead of paying a per-event ``getattr`` fallback.
+    ``cancelled = False`` suffices): the dispatch loop reads it directly
+    instead of paying a per-event ``getattr`` fallback.
     """
 
     cancelled: bool = False

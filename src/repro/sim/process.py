@@ -170,7 +170,7 @@ class Process:
         cls = type(target)
         if (cls is float or cls is int) and target >= 0:
             sim = self.sim
-            if target or not sim._bucketed:
+            if target:
                 sim._seq += 1
                 heappush(sim._queue, (sim._now + target, sim._seq, self))
             else:
@@ -214,7 +214,7 @@ class Process:
         cls = type(target)
         if (cls is float or cls is int) and target >= 0:
             sim = self.sim
-            if target or not sim._bucketed:
+            if target:
                 sim._seq += 1
                 heappush(sim._queue, (sim._now + target, sim._seq, self))
             else:
@@ -243,7 +243,7 @@ class Process:
         if (cls is float or cls is int) and target >= 0:
             # CPU charge: schedule this process directly (see module docs).
             sim = self.sim
-            if target or not sim._bucketed:
+            if target:
                 sim._seq += 1
                 heappush(sim._queue, (sim._now + target, sim._seq, self))
             else:

@@ -835,9 +835,7 @@ def _finalize_shard(
         "events": sim.events_dispatched,
         "crash_fired": job._crash_fired,
         "now": sim.now,
-        "interned": (
-            (interner.hits, interner.misses) if interner is not None else (0, 0)
-        ),
+        "interned": (interner.hits, interner.misses),
         "traffic_committed": (
             dict(job.traffic._committed) if job.traffic is not None else None
         ),

@@ -17,8 +17,6 @@ and process wake-up allocates one — so the class is kept deliberately lean:
 ``add_callback``, and zero-delay completion appended straight to the
 simulator's near-horizon bucket (one FIFO append — no sequence counter,
 no tuple, no heap sift) without going through :meth:`Simulator.schedule`.
-In heap-only mode (``Simulator(bucketed=False)``) the same sites push the
-seed-shaped ``(now, seq, event)`` heap entry instead.
 """
 
 from __future__ import annotations
@@ -93,12 +91,7 @@ class Event:
         self._value = value
         self._ok = True
         if delay == 0.0:
-            sim = self.sim
-            if sim._bucketed:
-                sim._bucket.append(self)
-            else:
-                sim._seq += 1
-                heappush(sim._queue, (sim._now, sim._seq, self))
+            self.sim._bucket.append(self)
         else:
             self.sim.schedule(self, delay)
         return self
@@ -175,7 +168,7 @@ class Timeout(Event):
         self._fired = False
         self.cancelled = False
         self.delay = delay
-        if delay or not sim._bucketed:
+        if delay:
             sim._seq += 1
             heappush(sim._queue, (sim._now + delay, sim._seq, self))
         else:

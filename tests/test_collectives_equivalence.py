@@ -2,7 +2,8 @@
 
 PR 2 flattened the collective algorithms' ``yield from`` towers into
 inline-progress fast paths (see ``repro/mpi/collectives/algorithms.py``);
-the original towers survive as the ``*_spec`` functions.  The two
+the original towers survive as the ``*_spec`` functions in
+``tests/reference/collectives.py``.  The two
 implementations must be *observationally identical*: same per-rank
 results, same virtual runtime, same dispatched-event and frame counts —
 matching order, combine order and the rendezvous handshake are all
@@ -21,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import ReplicationConfig
 from repro.harness.runner import Job, cluster_for
 from repro.mpi.collectives import algorithms as coll
+
+from reference import collectives as ref_coll
 
 OPS = ["sum", "prod", "max", "min"]
 #: mixes power-of-two and odd sizes: allreduce/alltoall switch algorithms
@@ -98,7 +101,7 @@ def test_bcast_equivalence(n, root, protocol, payload):
             return np.arange(6, dtype=np.float64) * (mpi.rank + 1)
         return float(mpi.rank * 10 + 1)
 
-    app = _rooted_app(coll.bcast, coll.bcast_spec, make_data)
+    app = _rooted_app(coll.bcast, ref_coll.bcast_spec, make_data)
     _assert_equivalent(protocol, n, app, root=root % n)
 
 
@@ -111,7 +114,7 @@ def test_bcast_equivalence(n, root, protocol, payload):
 )
 def test_reduce_equivalence(n, root, op, protocol):
     def app(mpi, impl, root, op):
-        fn = coll.reduce if impl == "flat" else coll.reduce_spec
+        fn = coll.reduce if impl == "flat" else ref_coll.reduce_spec
         return (yield from fn(mpi, mpi.world, float(mpi.rank + 2), op, root))
 
     _assert_equivalent(protocol, n, app, root=root % n, op=op)
@@ -127,7 +130,7 @@ def test_allreduce_equivalence(n, op, protocol):
     def make_data(mpi):
         return np.array([mpi.rank + 1.0, mpi.rank * 0.5])
 
-    app = _op_app(coll.allreduce, coll.allreduce_spec, make_data)
+    app = _op_app(coll.allreduce, ref_coll.allreduce_spec, make_data)
     _assert_equivalent(protocol, n, app, op=op)
 
 
@@ -135,7 +138,7 @@ def test_allreduce_equivalence(n, op, protocol):
 @given(n=st.sampled_from(SIZES), protocol=st.sampled_from(PROTOCOLS))
 def test_barrier_equivalence(n, protocol):
     def app(mpi, impl):
-        fn = coll.barrier if impl == "flat" else coll.barrier_spec
+        fn = coll.barrier if impl == "flat" else ref_coll.barrier_spec
         yield from fn(mpi, mpi.world)
         return mpi.wtime()
 
@@ -150,8 +153,8 @@ def test_barrier_equivalence(n, protocol):
 )
 def test_gather_scatter_equivalence(n, root, protocol):
     def app(mpi, impl, root):
-        gather_fn = coll.gather if impl == "flat" else coll.gather_spec
-        scatter_fn = coll.scatter if impl == "flat" else coll.scatter_spec
+        gather_fn = coll.gather if impl == "flat" else ref_coll.gather_spec
+        scatter_fn = coll.scatter if impl == "flat" else ref_coll.scatter_spec
         gathered = yield from gather_fn(mpi, mpi.world, mpi.rank * 3 + 1, root)
         chunks = gathered if mpi.rank == root else None
         back = yield from scatter_fn(mpi, mpi.world, chunks, root)
@@ -164,8 +167,8 @@ def test_gather_scatter_equivalence(n, root, protocol):
 @given(n=st.sampled_from(SIZES), protocol=st.sampled_from(PROTOCOLS))
 def test_allgather_alltoall_equivalence(n, protocol):
     def app(mpi, impl):
-        allgather_fn = coll.allgather if impl == "flat" else coll.allgather_spec
-        alltoall_fn = coll.alltoall if impl == "flat" else coll.alltoall_spec
+        allgather_fn = coll.allgather if impl == "flat" else ref_coll.allgather_spec
+        alltoall_fn = coll.alltoall if impl == "flat" else ref_coll.alltoall_spec
         everyone = yield from allgather_fn(mpi, mpi.world, mpi.rank + 0.5)
         swapped = yield from alltoall_fn(
             mpi, mpi.world, [mpi.rank * mpi.size + j for j in range(mpi.size)]
@@ -183,8 +186,8 @@ def test_allgather_alltoall_equivalence(n, protocol):
 )
 def test_scan_reduce_scatter_equivalence(n, op, protocol):
     def app(mpi, impl, op):
-        scan_fn = coll.scan if impl == "flat" else coll.scan_spec
-        rs_fn = coll.reduce_scatter_block if impl == "flat" else coll.reduce_scatter_block_spec
+        scan_fn = coll.scan if impl == "flat" else ref_coll.scan_spec
+        rs_fn = coll.reduce_scatter_block if impl == "flat" else ref_coll.reduce_scatter_block_spec
         prefix = yield from scan_fn(mpi, mpi.world, float(mpi.rank + 1), op)
         mine = yield from rs_fn(mpi, mpi.world, [float(j + 1) for j in range(mpi.size)], op)
         return prefix, mine
@@ -204,20 +207,20 @@ def test_mixed_collective_program_equivalence(protocol, n):
         acc = 0.0
         for it in range(2):
             root = it % mpi.size
-            yield from (coll.barrier if flat else coll.barrier_spec)(mpi, mpi.world)
-            data = yield from (coll.bcast if flat else coll.bcast_spec)(
+            yield from (coll.barrier if flat else ref_coll.barrier_spec)(mpi, mpi.world)
+            data = yield from (coll.bcast if flat else ref_coll.bcast_spec)(
                 mpi, mpi.world, np.full(16384, float(mpi.rank + it)), root
             )
             acc += float(data[0])
-            r = yield from (coll.reduce if flat else coll.reduce_spec)(
+            r = yield from (coll.reduce if flat else ref_coll.reduce_spec)(
                 mpi, mpi.world, float(mpi.rank), "sum", root
             )
             if r is not None:
                 acc += r
-            acc += (yield from (coll.allreduce if flat else coll.allreduce_spec)(
+            acc += (yield from (coll.allreduce if flat else ref_coll.allreduce_spec)(
                 mpi, mpi.world, float(mpi.rank + it), "max"
             ))
-            acc += (yield from (coll.scan if flat else coll.scan_spec)(
+            acc += (yield from (coll.scan if flat else ref_coll.scan_spec)(
                 mpi, mpi.world, 1.0, "sum"
             ))
         return acc

@@ -7,6 +7,8 @@ from repro.core.config import ReplicationConfig
 from repro.core.recovery import RecoveryManager, RecoveryUnsupported
 from repro.harness.runner import Job, cluster_for
 
+from reference import ALL_REFERENCE, LinearMatchEngine, ReferenceJob, fingerprint
+
 
 class IterState:
     def __init__(self):
@@ -145,3 +147,45 @@ class TestRecoveryValidity:
         job.sim.call_at(60e-6, lambda: manager.request_respawn(1))
         with pytest.raises(RecoveryUnsupported):
             job.run()
+
+
+class TestReferenceModesSurviveRespawn:
+    """Every reference mode at once must re-apply to the stack a recovery
+    fork rebuilds (``spawn_replica`` -> ``_build_stack``) and still agree
+    with the production engine on the whole fingerprint."""
+
+    @staticmethod
+    def _run(job_cls, protocol, crash_rep, respawn, **modes):
+        cfg = ReplicationConfig(degree=2, protocol=protocol)
+        job = job_cls(2, cfg=cfg, cluster=cluster_for(2, 2, cores_per_node=1), **modes)
+        job.launch(recoverable_exchange, iters=60)
+        job.crash(1, crash_rep, at=60e-6)
+        if respawn:
+            manager = RecoveryManager(job)
+            job.sim.call_at(100e-6, lambda: manager.request_respawn(1))
+        return job, job.run()
+
+    @pytest.mark.parametrize("crash_rep", [1, 0])
+    def test_sdr_recovery_fork(self, crash_rep):
+        _prod_job, prod = self._run(Job, "sdr", crash_rep, respawn=True)
+        ref_job, ref = self._run(ReferenceJob, "sdr", crash_rep, respawn=True, **ALL_REFERENCE)
+        assert len(ref_job._retired_stacks) == 1
+        respawned = ref_job.rmap.phys(1, crash_rep)
+        pml = ref_job.pmls[respawned]
+        assert type(pml.matching) is LinearMatchEngine
+        assert pml._interner is None
+        assert pml.env_allocated == pml.env_acquired > 0  # nothing recycled
+        assert pml._send_row is not ref_job.fabric.cost_table.send_row(pml._node_of[respawned])
+        sharing = {id(proto.shared) for proto in ref_job.protocols.values()}
+        assert len(sharing) == len(ref_job.protocols)
+        assert not ref_job.sim._bucket and ref_job.sim.on_advance is None
+        assert fingerprint(prod, stranded=True) == fingerprint(ref, stranded=True)
+
+    def test_leader_failover(self):
+        """Leader-based replication has no recovery fork (the manager
+        rejects it), so its case is the crash and failover alone."""
+        with pytest.raises(RecoveryUnsupported):
+            self._run(Job, "leader", 1, respawn=True)
+        _prod_job, prod = self._run(Job, "leader", 1, respawn=False)
+        _ref_job, ref = self._run(ReferenceJob, "leader", 1, respawn=False, **ALL_REFERENCE)
+        assert fingerprint(prod, stranded=True) == fingerprint(ref, stranded=True)

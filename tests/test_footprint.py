@@ -7,8 +7,9 @@ world communicator's member tuple and rank map, the fabric's
 :class:`~repro.core.replicated.ProtocolShared` config — while the
 per-process residue is slotted and lazy.  These tests pin three things:
 
-* **equivalence** — ``Job(shared_state=False)`` keeps the seed-shaped
-  private-copies construction as the executable spec, and the shared
+* **equivalence** — ``ReferenceJob(shared_state=False)`` (see
+  ``tests/reference``) keeps the seed-shaped private-copies construction
+  as the executable spec, and the shared
   engine must produce bit-identical fingerprints across all five
   protocols, crash-free and crashy;
 * **budget** — a tracemalloc-measured bytes-per-process ceiling at the
@@ -36,6 +37,8 @@ from repro.harness.runner import Job, _PROTOCOL_CLASSES, cluster_for
 from repro.mpi.datatypes import Phantom
 from repro.mpi.errors import DeadlockError
 
+from reference import ReferenceJob, fingerprint
+
 PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
 
 
@@ -44,7 +47,7 @@ def _job(protocol="native", n=2, **kwargs):
         cfg = ReplicationConfig(degree=1, protocol="native")
     else:
         cfg = ReplicationConfig(degree=2, protocol=protocol)
-    return Job(n, cfg=cfg, cluster=cluster_for(n, cfg.degree), **kwargs)
+    return ReferenceJob(n, cfg=cfg, cluster=cluster_for(n, cfg.degree), **kwargs)
 
 
 def mixed_traffic(mpi, rounds=4, nbytes=65536):
@@ -66,29 +69,6 @@ def mixed_traffic(mpi, rounds=4, nbytes=65536):
     return acc
 
 
-def _norm(value):
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    return value
-
-
-def _fingerprint(res):
-    return {
-        "results": {proc: _norm(v) for proc, v in sorted(res.app_results.items())},
-        "runtime": repr(res.runtime),
-        "finish": {p: repr(t) for p, t in sorted(res.finish_times.items())},
-        "events": res.events,
-        "frames": res.fabric["frames"],
-        "bytes": res.fabric["bytes"],
-        "by_kind": dict(sorted(res.fabric["by_kind"].items())),
-        "unexpected": res.stat_total("unexpected_count"),
-        "acks": res.stat_total("acks_sent"),
-        "stranded": dict(sorted(res.stranded_by_site.items())),
-    }
-
-
 class TestSharedStateEquivalence:
     """Shared-config stacks ≡ seed-shaped per-proc construction."""
 
@@ -98,7 +78,7 @@ class TestSharedStateEquivalence:
             job = _job(protocol, n=4, shared_state=shared)
             return job.launch(mixed_traffic, rounds=3).run()
 
-        assert _fingerprint(run(True)) == _fingerprint(run(False)), (
+        assert fingerprint(run(True), stranded=True) == fingerprint(run(False), stranded=True), (
             f"shared-state engine diverged from per-proc spec ({protocol})"
         )
 
@@ -118,7 +98,7 @@ class TestSharedStateEquivalence:
             job.launch(mixed_traffic, rounds=3)
             job.crash(1, 1, at=crash_at)
             try:
-                return _fingerprint(job.run())
+                return fingerprint(job.run(), stranded=True)
             except DeadlockError as err:
                 job._assert_arenas_balanced()
                 return ("deadlock", sorted(err.blocked.items()))
@@ -183,7 +163,7 @@ class TestFootprintBudget:
 
         def measure(shared):
             tracemalloc.start()
-            Job(256, cfg=cfg, cluster=cluster_for(256, 2), shared_state=shared)
+            ReferenceJob(256, cfg=cfg, cluster=cluster_for(256, 2), shared_state=shared)
             current, _peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return current

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.mpi.matching import LinearMatchEngine, MatchEngine
+from repro.mpi.matching import MatchEngine
 from repro.mpi.pml import Envelope, PmlRecvRequest
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
+
+from reference import LinearMatchEngine
 
 
 def make_env(ctx, src, tag, seq):

@@ -3,7 +3,8 @@
 PR 3 extended the Frame/Envelope arenas to every envelope kind (eager/rts/
 data cross the interposition surface under the explicit ownership contract
 — see :mod:`repro.mpi.pml`).  Recycling is a host-side optimisation and
-must be *observationally invisible*: ``Job(pooling=False)`` bypasses both
+must be *observationally invisible*: ``ReferenceJob(pooling=False)`` (see
+``tests/reference``) bypasses both
 arenas (every acquire constructs a fresh object; the ownership accounting
 stays on), and every randomized configuration here runs the same program
 under both modes and compares the full engine fingerprint — per-rank
@@ -26,8 +27,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ReplicationConfig
-from repro.harness.runner import Job, cluster_for
+from repro.harness.runner import cluster_for
 from repro.mpi.datatypes import Phantom
+
+from reference import ReferenceJob, fingerprint
 
 #: mixes power-of-two and odd sizes (collective algorithm switches)
 SIZES = [2, 3, 4, 5]
@@ -39,36 +42,14 @@ def _run(protocol: str, n_ranks: int, app, pooling: bool, **kwargs):
         cfg = ReplicationConfig(degree=1, protocol="native")
     else:
         cfg = ReplicationConfig(degree=2, protocol=protocol)
-    job = Job(n_ranks, cfg=cfg, cluster=cluster_for(n_ranks, cfg.degree), pooling=pooling)
+    job = ReferenceJob(n_ranks, cfg=cfg, cluster=cluster_for(n_ranks, cfg.degree), pooling=pooling)
     return job.launch(app, **kwargs).run()
-
-
-def _norm(value):
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    return value
-
-
-def _fingerprint(res):
-    return {
-        "results": {proc: _norm(v) for proc, v in sorted(res.app_results.items())},
-        "runtime": repr(res.runtime),
-        "finish": {p: repr(t) for p, t in sorted(res.finish_times.items())},
-        "events": res.events,
-        "frames": res.fabric["frames"],
-        "bytes": res.fabric["bytes"],
-        "by_kind": dict(sorted(res.fabric["by_kind"].items())),
-        "unexpected": res.stat_total("unexpected_count"),
-        "acks": res.stat_total("acks_sent"),
-    }
 
 
 def _assert_equivalent(protocol, n, app, **kwargs):
     pooled = _run(protocol, n, app, pooling=True, **kwargs)
     bypass = _run(protocol, n, app, pooling=False, **kwargs)
-    assert _fingerprint(pooled) == _fingerprint(bypass), (
+    assert fingerprint(pooled) == fingerprint(bypass), (
         f"pooled engine diverged from no-pooling spec ({protocol}, n={n})"
     )
 
@@ -159,7 +140,7 @@ def test_bypass_mode_really_bypasses():
     """pooling=False must construct fresh on every acquire (pool stays
     empty) while the ownership accounting still balances."""
     cfg = ReplicationConfig(degree=2, protocol="sdr")
-    job = Job(4, cfg=cfg, cluster=cluster_for(4, 2), pooling=False)
+    job = ReferenceJob(4, cfg=cfg, cluster=cluster_for(4, 2), pooling=False)
     job.launch(mixed_p2p, rounds=3, anonymous=True, tagset=(1, 2)).run()
     for pml in job.pmls.values():
         assert pml.env_allocated == pml.env_acquired  # no reuse ever

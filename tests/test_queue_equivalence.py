@@ -3,8 +3,9 @@
 PR 4 split the kernel queue into a near-horizon FIFO bucket (events at the
 current virtual time) backed by the heap (strictly-future times) — see
 :mod:`repro.sim.kernel`.  The split is a host-side optimisation and must be
-*observationally invisible*: ``Job(bucketed=False)`` keeps every insertion
-on the heap exactly as the seed engine did (the executable specification),
+*observationally invisible*: ``ReferenceJob(bucketed=False)`` (see
+``tests/reference``) keeps every insertion on the heap exactly as the seed
+engine did (the executable specification),
 and every randomized configuration here runs the same program under both
 modes and compares the full engine fingerprint — per-rank results,
 bit-identical virtual times and finish times, dispatched-event and frame
@@ -26,9 +27,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ReplicationConfig
-from repro.harness.runner import Job, cluster_for
+from repro.harness.runner import cluster_for
 from repro.mpi.datatypes import Phantom
 from repro.sim.kernel import Simulator
+
+from reference import ReferenceJob, fingerprint, heap_only
 
 SIZES = [2, 3, 4, 5]
 PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
@@ -39,38 +42,16 @@ def _run(protocol: str, n_ranks: int, app, bucketed: bool, **kwargs):
         cfg = ReplicationConfig(degree=1, protocol="native")
     else:
         cfg = ReplicationConfig(degree=2, protocol=protocol)
-    job = Job(
+    job = ReferenceJob(
         n_ranks, cfg=cfg, cluster=cluster_for(n_ranks, cfg.degree), bucketed=bucketed
     )
     return job.launch(app, **kwargs).run()
 
 
-def _norm(value):
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    return value
-
-
-def _fingerprint(res):
-    return {
-        "results": {proc: _norm(v) for proc, v in sorted(res.app_results.items())},
-        "runtime": repr(res.runtime),
-        "finish": {p: repr(t) for p, t in sorted(res.finish_times.items())},
-        "events": res.events,
-        "frames": res.fabric["frames"],
-        "bytes": res.fabric["bytes"],
-        "by_kind": dict(sorted(res.fabric["by_kind"].items())),
-        "unexpected": res.stat_total("unexpected_count"),
-        "acks": res.stat_total("acks_sent"),
-    }
-
-
 def _assert_equivalent(protocol, n, app, **kwargs):
     bucketed = _run(protocol, n, app, bucketed=True, **kwargs)
     heap_only = _run(protocol, n, app, bucketed=False, **kwargs)
-    assert _fingerprint(bucketed) == _fingerprint(heap_only), (
+    assert fingerprint(bucketed) == fingerprint(heap_only), (
         f"two-level queue diverged from heap-only spec ({protocol}, n={n})"
     )
 
@@ -169,12 +150,12 @@ def test_failover_queue_equivalence(protocol, crash_us):
 
     def run_mode(bucketed):
         cfg = ReplicationConfig(degree=2, protocol=protocol)
-        job = Job(4, cfg=cfg, cluster=cluster_for(4, 2), bucketed=bucketed)
+        job = ReferenceJob(4, cfg=cfg, cluster=cluster_for(4, 2), bucketed=bucketed)
         job.launch(mixed_p2p, rounds=3, anonymous=True, tagset=(1, 2))
         job.crash(1, 1, at=crash_us * 1e-6)
         return job.run(allow_lost_ranks=True)
 
-    assert _fingerprint(run_mode(True)) == _fingerprint(run_mode(False))
+    assert fingerprint(run_mode(True)) == fingerprint(run_mode(False))
 
 
 # ------------------------------------------------------- kernel-level laws
@@ -201,14 +182,11 @@ def _record_order(sim):
 def test_kernel_fifo_order_matches_heap_only():
     """Same-time insertions made while a batch drains fire in exactly the
     order the heap-only queue would have given them."""
-    assert _record_order(Simulator(bucketed=True)) == _record_order(
-        Simulator(bucketed=False)
-    )
+    assert _record_order(Simulator()) == _record_order(heap_only(Simulator()))
 
 
 def test_kernel_step_and_peek_agree():
-    for bucketed in (True, False):
-        sim = Simulator(bucketed=bucketed)
+    for sim in (Simulator(), heap_only(Simulator())):
         seen = []
         sim.call_in(0.0, lambda: seen.append("now"))
         sim.call_at(3.0, lambda: seen.append("later"))
@@ -222,7 +200,7 @@ def test_kernel_step_and_peek_agree():
 
 
 def test_heap_only_mode_really_uses_the_heap():
-    sim = Simulator(bucketed=False)
+    sim = heap_only(Simulator())
     sim.call_in(0.0, lambda: None)
     assert len(sim._queue) == 1 and not sim._bucket
     sim2 = Simulator()

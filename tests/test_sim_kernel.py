@@ -121,13 +121,119 @@ class TestCancellation:
         sim.run()
         assert seen == []
 
-    def test_trace_hook_sees_every_event(self, sim):
-        seen = []
-        sim.trace_hook = lambda t, e: seen.append(t)
-        sim.call_at(1.0, lambda: None)
-        sim.call_at(2.0, lambda: None)
+
+class TestDrainBoundaries:
+    """The one dispatch loop behind ``run()``, ``run(until=T)`` and
+    ``run_until_before(T)``: which events at exactly T fire, where the clock
+    parks, when ``on_advance`` fires, and what a stop leaves behind."""
+
+    @staticmethod
+    def _load(sim, times=(1.0, 2.0, 2.0, 3.0, 4.0)):
+        fired = []
+        advances = []
+        sim.on_advance = lambda: advances.append(sim.now)
+        for t in times:
+            sim.call_at(t, lambda t=t: fired.append(t))
+        # a same-time follow-up scheduled while the t=3 batch drains
+        sim.call_at(3.0, lambda: sim.call_in(0.0, lambda: fired.append("3+")))
+        return fired, advances
+
+    def test_unbounded_drains_everything_and_parks_at_last_event(self, sim):
+        fired, advances = self._load(sim)
         sim.run()
-        assert seen == [1.0, 2.0]
+        assert fired == [1.0, 2.0, 2.0, 3.0, "3+", 4.0]
+        assert sim.now == 4.0
+        assert advances == [0.0, 1.0, 2.0, 3.0]  # once per distinct timestamp
+        assert sim.events_dispatched == 7
+        assert sim.queue_size == 0
+
+    def test_until_is_inclusive_and_parks_at_horizon(self, sim):
+        fired, advances = self._load(sim)
+        sim.run(until=3.0)
+        assert fired == [1.0, 2.0, 2.0, 3.0, "3+"]
+        assert sim.now == 3.0
+        assert advances == [0.0, 1.0, 2.0]  # no advance past the horizon
+        assert sim.events_dispatched == 6
+        assert sim.peek() == 4.0
+
+    def test_until_parks_past_a_drained_queue(self, sim):
+        fired, advances = self._load(sim)
+        sim.run(until=10.0)
+        assert fired[-1] == 4.0
+        assert sim.now == 10.0
+        assert advances == [0.0, 1.0, 2.0, 3.0]
+
+    def test_until_now_fires_the_current_batch(self, sim):
+        seen = []
+        sim.call_in(0.0, lambda: seen.append("now"))
+        sim.call_in(1.0, lambda: seen.append("later"))
+        sim.run(until=0.0)
+        assert seen == ["now"] and sim.now == 0.0
+
+    def test_until_before_leaves_horizon_events_pending(self, sim):
+        fired, advances = self._load(sim)
+        sim.run_until_before(3.0)
+        assert fired == [1.0, 2.0, 2.0]
+        assert sim.now == 2.0  # strictly below the horizon, never parked on it
+        assert advances == [0.0, 1.0]
+        assert sim.events_dispatched == 3
+        assert sim.peek() == 3.0
+        sim.run()
+        assert fired == [1.0, 2.0, 2.0, 3.0, "3+", 4.0]
+        assert advances == [0.0, 1.0, 2.0, 3.0]
+        assert sim.events_dispatched == 7
+
+    def test_until_before_now_fires_nothing(self, sim):
+        seen = []
+        sim.call_in(0.0, lambda: seen.append("now"))
+        sim.run_until_before(0.0)
+        assert seen == [] and sim.now == 0.0 and sim.queue_size == 1
+
+    @pytest.mark.parametrize("mode", ["unbounded", "until", "before"])
+    def test_stop_counts_the_stopper_and_keeps_the_clock(self, sim, mode):
+        seen = []
+
+        def stopper():
+            seen.append("stop")
+            raise StopSimulation("halt")
+
+        sim.call_at(1.0, lambda: seen.append(1.0))
+        sim.call_at(2.0, stopper)
+        sim.call_at(2.0, lambda: seen.append("same-time"))
+        sim.call_at(3.0, lambda: seen.append(3.0))
+        if mode == "unbounded":
+            value = sim.run()
+        elif mode == "until":
+            value = sim.run(until=5.0)
+        else:
+            value = sim.run_until_before(5.0)
+        assert value == "halt"
+        assert seen == [1.0, "stop"]
+        assert sim.now == 2.0  # a stopped run does not park at the horizon
+        assert sim.events_dispatched == 2
+        assert sim.queue_size == 2
+        assert sim.run() is None
+        assert seen == [1.0, "stop", "same-time", 3.0]
+
+    def test_past_horizon_rejected_without_rewinding_the_clock(self, sim):
+        """Regression: ``run(until=T)`` with ``T < now`` used to set the
+        clock back to T, after which a ``call_at`` between T and the old
+        time fired after that time had already passed."""
+        seen = []
+        sim.call_at(2.0, lambda: seen.append(2.0))
+        sim.call_at(5.0, lambda: seen.append(5.0))
+        sim.run(until=3.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
+        assert sim.now == 3.0
+        # the exclusive drain never parks the clock, so a past horizon is
+        # a no-op (a shard sitting out a window), not a rewind
+        assert sim.run_until_before(1.0) is None
+        assert sim.now == 3.0 and seen == [2.0]
+        with pytest.raises(SimulationError):
+            sim.call_at(1.5, lambda: seen.append(1.5))
+        sim.run()
+        assert seen == [2.0, 5.0]
 
 
 class TestDeterminism:

@@ -1,7 +1,7 @@
 """The run-time working-set contract (PR 8).
 
-Three coordinated memory layers landed behind ``Job(...)`` flags, each
-keeping the previous implementation as its executable spec:
+Three coordinated memory layers, each keeping the previous implementation
+as its executable spec in ``tests/reference`` (``ReferenceJob`` flags):
 
 * **payload interning** (``interning``) — a job-wide
   :class:`~repro.mpi.datatypes.PayloadInterner` collapses the millions of
@@ -35,6 +35,8 @@ from repro.harness.runner import Job, cluster_for
 from repro.mpi.datatypes import PayloadInterner, Phantom
 from repro.mpi.errors import DeadlockError
 
+from reference import ALL_REFERENCE, ReferenceJob, fingerprint
+
 PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
 
 
@@ -43,7 +45,7 @@ def _job(protocol="native", n=4, **kwargs):
         cfg = ReplicationConfig(degree=1, protocol="native")
     else:
         cfg = ReplicationConfig(degree=2, protocol=protocol)
-    return Job(n, cfg=cfg, cluster=cluster_for(n, cfg.degree), **kwargs)
+    return ReferenceJob(n, cfg=cfg, cluster=cluster_for(n, cfg.degree), **kwargs)
 
 
 def mixed_traffic(mpi, rounds=3, nbytes=65536):
@@ -66,29 +68,6 @@ def mixed_traffic(mpi, rounds=3, nbytes=65536):
     return acc
 
 
-def _norm(value):
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    return value
-
-
-def _fingerprint(res):
-    return {
-        "results": {proc: _norm(v) for proc, v in sorted(res.app_results.items())},
-        "runtime": repr(res.runtime),
-        "finish": {p: repr(t) for p, t in sorted(res.finish_times.items())},
-        "events": res.events,
-        "frames": res.fabric["frames"],
-        "bytes": res.fabric["bytes"],
-        "by_kind": dict(sorted(res.fabric["by_kind"].items())),
-        "unexpected": res.stat_total("unexpected_count"),
-        "acks": res.stat_total("acks_sent"),
-        "stranded": dict(sorted(res.stranded_by_site.items())),
-    }
-
-
 def _run_flagged(protocol, n, rounds, crash_at=None, **flags):
     """One run under *flags*; wedged runs fingerprint as their blocked set."""
     job = _job(protocol, n=n, **flags)
@@ -96,7 +75,7 @@ def _run_flagged(protocol, n, rounds, crash_at=None, **flags):
     if crash_at is not None:
         job.crash(1, 1, at=crash_at)
     try:
-        return _fingerprint(job.run())
+        return fingerprint(job.run(), stranded=True)
     except DeadlockError as err:
         job._assert_arenas_balanced()
         return ("deadlock", sorted(err.blocked.items()))
@@ -134,11 +113,7 @@ class TestFlagEquivalence:
         with the fully optimized one."""
         for protocol in PROTOCOLS:
             fast = _run_flagged(protocol, 4, 2)
-            spec = _run_flagged(
-                protocol, 4, 2,
-                interning=False, arena_trim=False, matching="linear",
-                pooling=False, bucketed=False, shared_state=False,
-            )
+            spec = _run_flagged(protocol, 4, 2, **ALL_REFERENCE)
             assert fast == spec, f"optimized stack diverged from full spec ({protocol})"
 
     def test_matching_flag_validated(self):

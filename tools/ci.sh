@@ -14,6 +14,11 @@
 #                 installed — the GitHub workflow always installs it, so
 #                 the skip only applies to bare local environments.
 #   tests         the tier-1 pytest suite (ROADMAP.md contract)
+#   perfbench     the benchmark's own self-tests (perfbench/selftest.py,
+#                 ~30 s; not named test_*.py, so the tier-1 run does not
+#                 collect them): its workloads drive the Job/Simulator
+#                 signatures, so an engine change that breaks the
+#                 benchmark fails here, not in the benchmark run
 #   campaign      a quick seeded fault-campaign smoke (sdr-mpi campaign
 #                 --seeds 3): every run is audited for the zero-leak arena
 #                 balance, and any invariant violation fails the gate
@@ -122,6 +127,10 @@ if (( RUN_TESTS )); then
 
     begin_stage tests "tier-1 tests"
     python -m pytest -x -q
+    end_stage
+
+    begin_stage perfbench "benchmark self-tests (perfbench/selftest.py)"
+    python -m pytest -x -q perfbench/selftest.py
     end_stage
 
     begin_stage campaign "fault-campaign smoke (3 seeded mixes x 5 protocols, audited)"
