@@ -173,7 +173,14 @@ class ReplicatedBase(BaseProtocol):
             reorder = self._reorder
             if reorder is None:
                 reorder = self._reorder = {}
-            reorder.setdefault(src, {})[env.seq] = env
+            held = reorder.setdefault(src, {})
+            displaced = held.get(env.seq)
+            held[env.seq] = env
+            if displaced is not None:
+                # A second copy of a still-held early arrival (the other
+                # replica's copy, a link duplicate or a resend): the
+                # newcomer takes the slot, the copy it displaced goes back.
+                self.pml.release_env(displaced)
             return False
         # Duplicate: mirror copy, substitute resend, or recovery replay.
         self.duplicates_dropped += 1

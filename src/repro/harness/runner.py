@@ -546,11 +546,7 @@ class Job:
         # inline AssertionError (Process.crash: the crash wins).
         self._check_guard_violations()
         lost = sorted(self.membership.lost_ranks)
-        blocked = {
-            p.name: (p._waiting_on.label if p._waiting_on is not None else "<runnable>")
-            for proc, p in self.processes.items()
-            if p.alive and proc not in self.finish_times
-        }
+        blocked = self._blocked()
         for proc, process in self.processes.items():
             if process.exception is not None:
                 raise process.exception
@@ -563,13 +559,30 @@ class Job:
             raise MpiError(f"application lost ranks {lost}: every replica failed")
         if audit:
             self.audit()
-        finished = [t for p, t in self.finish_times.items()]
+        return self._result()
+
+    def _blocked(self) -> Dict[str, str]:
+        """Live processes that never finished, with what each waits on."""
+        return {
+            p.name: (p._waiting_on.label if p._waiting_on is not None else "<runnable>")
+            for proc, p in self.processes.items()
+            if p.alive and proc not in self.finish_times
+        }
+
+    def _result(self, procs: Optional[List[int]] = None) -> JobResult:
+        """This run's :class:`JobResult`, as it stands.  *procs* limits the
+        per-process protocol stats (a shard reports only the processes it
+        owns; :mod:`repro.sim.shard` merges the parts)."""
+        finished = self.finish_times.values()
         requests = self.traffic.totals() if self.traffic is not None else {}
         return JobResult(
             runtime=max(finished) if finished else self.sim.now,
             finish_times=dict(self.finish_times),
             app_results=dict(self.app_results),
-            stats={p: proto.stats() for p, proto in self.protocols.items()},
+            stats={
+                p: self.protocols[p].stats()
+                for p in (self.protocols if procs is None else procs)
+            },
             fabric={
                 "frames": self.fabric.total_frames,
                 "bytes": self.fabric.total_bytes,
@@ -579,12 +592,8 @@ class Job:
             events=self.sim.events_dispatched,
             payload_interned=self.interner.hits,
             payload_misses=self.interner.misses,
-            requests_offered=requests.get("requests_offered", 0),
-            requests_admitted=requests.get("requests_admitted", 0),
-            requests_rejected=requests.get("requests_rejected", 0),
-            requests_completed=requests.get("requests_completed", 0),
-            requests_lost=requests.get("requests_lost", 0),
-            lost_ranks=lost,
+            **requests,
+            lost_ranks=sorted(self.membership.lost_ranks),
             stranded_by_site=self._strand_attribution(),
         )
 

@@ -26,7 +26,7 @@ Non-cartesian matrices come from :meth:`SweepSpec.explicit`: a literal
 list of configs, validated entry-by-entry at build time, with config
 indices fixed by list order.
 
-— executed serially or across a ``multiprocessing`` worker pool, streamed
+— executed serially or across a fork worker pool, streamed
 to a :class:`~repro.harness.store.SweepStore`, and rendered as
 paper-style tables.  Like :class:`~repro.harness.faults.FaultSchedule`,
 the matrix is validated when it is built (:class:`SweepError` names the
@@ -40,15 +40,13 @@ protocol-shared template — the PR 5 flyweights), with hit/miss
 accounting so the reuse is observable.  Every run is audited by
 ``run_case`` (``acquired == released + stranded``); an invariant
 violation is a nonzero sweep exit, never a taxonomy bucket.  A worker
-that *dies* (OOM-killed, segfaulted) marks its in-flight config failed
-and the pool keeps draining — a sweep never hangs on a lost worker.
+that *dies* (OOM-killed, segfaulted) marks the config the parent handed
+it failed and the pool keeps draining — a sweep never hangs on a lost
+worker.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -71,6 +69,7 @@ from repro.harness.report import (
 from repro.harness.runner import JobShape, cluster_for
 from repro.harness.store import SweepStore
 from repro.scenarios import ScenarioError, get_scenario, scenario_names
+from repro.sim.shard import WorkerDied, WorkerPool
 
 __all__ = [
     "MIX_PROFILES",
@@ -142,11 +141,6 @@ _NETWORK_PROBS: Tuple[str, ...] = (
 )
 
 _DEFAULT_CFG = CampaignConfig()
-
-#: test seam: a worker whose task index equals this env var hard-exits,
-#: standing in for the OOM-kill/segfault class of failures the pool must
-#: survive (see tests/test_sweep.py::test_worker_crash_keeps_draining)
-_TEST_CRASH_ENV = "REPRO_SWEEP_TEST_CRASH"
 
 
 class SweepError(ValueError):
@@ -596,33 +590,21 @@ def _error_record(point: SweepPoint, error: str) -> Dict[str, Any]:
     }
 
 
-def _worker_main(wid: int, task_q: Any, result_q: Any) -> None:
+def _sweep_worker(conn: Any, _wid: int) -> None:
     """Worker loop: one ShapeCache for the worker's lifetime, one audited
-    run per task.  ``start`` precedes execution so the parent can attribute
-    an in-flight config to a worker that dies mid-run."""
+    run per ``("run", point)``; ``("exit",)`` answers with the cache stats."""
     cache = ShapeCache()
-    crash_at = os.environ.get(_TEST_CRASH_ENV)
     while True:
-        item = task_q.get()
-        if item is None:
-            result_q.put(("exit", wid, cache.stats()))
+        msg = conn.recv()
+        if msg[0] == "exit":
+            conn.send(("exit", cache.stats()))
             return
-        idx, point = item
-        result_q.put(("start", wid, idx))
-        if crash_at is not None and int(crash_at) == idx:
-            # Test seam: simulated OOM-kill/segfault.  Flush the queue's
-            # feeder thread first so the "start" message survives and the
-            # parent attributes the in-flight config deterministically (a
-            # real crash may lose it — the bounded-respawn fallback then
-            # marks the lost config failed instead).
-            result_q.close()
-            result_q.join_thread()
-            os._exit(43)
+        point = msg[1]
         try:
             rec = _execute_point(point, cache)
         except BaseException as exc:  # run_case absorbs run errors; this is executor-level
             rec = _error_record(point, f"{type(exc).__name__}: {exc}")
-        result_q.put(("done", wid, idx, rec))
+        conn.send(("done", rec))
 
 
 @dataclass
@@ -666,7 +648,7 @@ def run_sweep(
     """Execute the matrix; stream records to the store as they complete.
 
     ``workers <= 1`` runs serially in-process; ``workers > 1`` farms
-    configs over a ``multiprocessing`` pool (fork where available).  The
+    configs over a fork :class:`~repro.sim.shard.WorkerPool`.  The
     records list is always ordered by config index whatever the completion
     order was, and per-config fingerprints are byte-identical either way.
     """
@@ -702,117 +684,51 @@ def _run_serial(spec, points, store, progress) -> SweepResult:
 
 
 def _run_pooled(spec, points, n_workers, store, progress) -> SweepResult:
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-    task_q = ctx.Queue()
-    result_q = ctx.Queue()
-    for idx, point in enumerate(points):
-        task_q.put((idx, point))
-    for _ in range(n_workers):
-        task_q.put(None)
-
-    workers: Dict[int, Any] = {}
-    next_wid = 0
-
-    def spawn() -> None:
-        nonlocal next_wid
-        proc = ctx.Process(
-            target=_worker_main, args=(next_wid, task_q, result_q), daemon=True
-        )
-        proc.start()
-        workers[next_wid] = proc
-        next_wid += 1
-
-    for _ in range(n_workers):
-        spawn()
-
+    """The parent hands each worker one config at a time, so it always
+    knows which config a dead worker held.  A death fails exactly that
+    config and the worker is respawned: respawns are bounded by the
+    matrix size."""
     done: Dict[int, Dict[str, Any]] = {}
-    in_flight: Dict[int, int] = {}  # wid -> config index
+    held: Dict[int, int] = {}  # wid -> config index
+    todo = iter(range(len(points)))
     cache_totals = {"hits": 0, "misses": 0, "shapes": 0}
     worker_crashes = 0
-    respawns = 0
 
-    def record(idx: int, rec: Dict[str, Any]) -> None:
-        done[idx] = rec
-        if store is not None:
-            store.append(rec)
-        if progress is not None:
-            progress(rec)
+    def feed(wid: int) -> None:
+        idx = next(todo, None)
+        if idx is not None:
+            held[wid] = idx
+            pool.send(wid, ("run", points[idx]))
 
-    def reap_dead() -> None:
-        """Mark the in-flight config of any dead worker failed; keep the
-        pool draining by respawning when every worker is gone."""
-        nonlocal worker_crashes, respawns
-        for wid, proc in list(workers.items()):
-            if proc.exitcode is None:
-                continue
-            proc.join()
-            del workers[wid]
-            idx = in_flight.pop(wid, None)
-            if idx is not None and idx not in done:
-                worker_crashes += 1
-                record(idx, _error_record(
-                    points[idx],
-                    f"worker {wid} died (exitcode {proc.exitcode}) while running this config",
-                ))
-        if len(done) < len(points) and not workers:
-            if respawns < len(points):
-                respawns += 1
-                task_q.put(None)  # the dead worker never consumed its sentinel
-                spawn()
-            else:
-                for idx, point in enumerate(points):
-                    if idx not in done:
-                        worker_crashes += 1
-                        record(idx, _error_record(
-                            point, "sweep executor exhausted its worker respawn budget"
-                        ))
-
-    while len(done) < len(points):
-        try:
-            msg = result_q.get(timeout=0.25)
-        except queue_mod.Empty:
-            reap_dead()
-            continue
-        kind = msg[0]
-        if kind == "start":
-            in_flight[msg[1]] = msg[2]
-        elif kind == "done":
-            _kind, wid, idx, rec = msg
-            in_flight.pop(wid, None)
-            if idx not in done:
-                record(idx, rec)
-        elif kind == "exit":
-            _kind, wid, stats = msg
+    pool = WorkerPool(n_workers, _sweep_worker, role="sweep worker")
+    try:
+        for wid in range(n_workers):
+            feed(wid)
+        while held:
+            for wid in pool.wait(held):
+                idx = held.pop(wid)
+                try:
+                    rec = pool.recv(wid)[1]
+                except WorkerDied as exc:
+                    worker_crashes += 1
+                    rec = _error_record(points[idx], f"{exc} while running this config")
+                    pool.spawn(wid)
+                done[idx] = rec
+                if store is not None:
+                    store.append(rec)
+                if progress is not None:
+                    progress(rec)
+                feed(wid)
+        for wid in range(n_workers):
+            try:
+                pool.send(wid, ("exit",))
+                stats = pool.recv(wid)[1]
+            except (WorkerDied, OSError):
+                continue  # its cache stats died with it
             for k in cache_totals:
-                cache_totals[k] += stats.get(k, 0)
-            proc = workers.pop(wid, None)
-            if proc is not None:
-                proc.join()
-
-    # Drain the remaining clean exits so the cache accounting is complete
-    # (workers that died contribute nothing — their stats died with them).
-    deadline = time.monotonic() + 10.0
-    while workers and time.monotonic() < deadline:
-        try:
-            msg = result_q.get(timeout=0.5)
-        except queue_mod.Empty:
-            for wid, proc in list(workers.items()):
-                if proc.exitcode is not None:
-                    proc.join()
-                    del workers[wid]
-            continue
-        if msg[0] == "exit":
-            _kind, wid, stats = msg
-            for k in cache_totals:
-                cache_totals[k] += stats.get(k, 0)
-            proc = workers.pop(wid, None)
-            if proc is not None:
-                proc.join()
-    for proc in workers.values():  # hung workers: never block the sweep
-        proc.terminate()
-    task_q.close()
-    result_q.close()
+                cache_totals[k] += stats[k]
+    finally:
+        pool.close()
 
     records = [done[idx] for idx in range(len(points))]
     return SweepResult(

@@ -672,53 +672,15 @@ class Pml:
         payload = data if already_copied else copy_payload(data)
         if nbytes is None:
             nbytes = nbytes_of(payload)
-        msg_id = self._next_msg_id()
-        cost = self._send_row.get(self._node_of[dst_phys])
-        if cost is None:
-            cost = self._send_cost_to(dst_phys)
-        req = PmlSendRequest(dst_phys, nbytes, msg_id)
-        self.sends_posted += 1
-        # inject() inlined: one application send per call makes the extra
-        # sub-generator measurable.  Envelopes are acquired *after* the
-        # charge so an abandoned generator (crash mid-charge) strands
-        # nothing outside the arena.
-        overhead = cost[0]
-        if not synchronous and nbytes <= cost[1]:
-            if overhead > 0.0:
-                yield overhead
-            env = self.acquire_env(
-                "eager",
-                ctx,
-                src_rank,
-                tag,
-                world_src,
-                world_dst,
-                seq,
-                nbytes,
-                payload,
-                dst_phys,
-                msg_id=msg_id,
-            )
-            self.fabric.send(self.proc, dst_phys, nbytes, env, "eager")
-            req.done = True
-        else:
-            # Rendezvous: RTS now, DATA once the CTS comes back.  The
-            # payload-bearing envelope is retained in _rdv_sends (owned by
-            # this PML); the RTS on the wire carries no payload.
-            if overhead > 0.0:
-                yield overhead
-            env = self.acquire_env(
-                "rts", ctx, src_rank, tag, world_src, world_dst, seq, nbytes, payload, dst_phys, msg_id=msg_id
-            )
-            rdv = self._rdv_sends
-            if rdv is None:
-                rdv = self._rdv_sends = {}
-            rdv[msg_id] = (req, env)
-            rts = self.acquire_env(
-                "rts", ctx, src_rank, tag, world_src, world_dst, seq, nbytes, None, dst_phys, msg_id=msg_id
-            )
-            self.fabric.send(self.proc, dst_phys, RTS_BYTES, rts, "rts")
-        return req
+        # Envelopes are acquired *after* the charge (inside post_send) so
+        # an abandoned generator (crash mid-charge) strands nothing outside
+        # the arena.
+        overhead = self.send_cost(dst_phys)
+        if overhead > 0.0:
+            yield overhead
+        return self.post_send(
+            ctx, src_rank, tag, payload, world_src, world_dst, seq, dst_phys, nbytes, synchronous
+        )
 
     def send_cost(self, dst_phys: int) -> float:
         """Sender CPU overhead toward *dst* (hot-path split of send_ctrl:

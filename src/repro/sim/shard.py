@@ -1,10 +1,10 @@
 """Conservative sharded-parallel execution (Chandy–Misra–Bryant lookahead).
 
 One :class:`~repro.harness.runner.Job` normally runs on one core.  This
-module shards its simulated processes **by node** across a self-managed
-fork worker pool and synchronizes the per-shard :class:`Simulator`
-instances on conservative lookahead windows, exploiting two facts the
-paper's system model fixes:
+module shards its simulated processes **by node** across the harness's
+fork worker pool (:class:`WorkerPool`) and synchronizes the per-shard
+:class:`Simulator` instances on conservative lookahead windows,
+exploiting two facts the paper's system model fixes:
 
 * topology and the cost model are immutable after setup, so the minimum
   inter-node wire latency ``L`` is a compile-time constant of the
@@ -60,11 +60,14 @@ import traceback
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappush
-from typing import Any, Dict, List, Optional, Tuple
+from multiprocessing.connection import wait as _wait_ready
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "ParallelConfig",
     "ShardPlan",
+    "WorkerDied",
+    "WorkerPool",
     "classify_hazards",
     "fingerprint",
     "run_parallel",
@@ -599,10 +602,95 @@ def _drain_router(job, plan: ShardPlan, shard_id: int):
     return local, exports
 
 
+# ---------------------------------------------------------------- worker pool
+
+
+class WorkerDied(RuntimeError):
+    """A pool worker's pipe reached EOF: the worker exited without replying
+    (killed, segfaulted, ``os._exit``)."""
+
+    def __init__(self, role: str, wid: int, exitcode: Optional[int]) -> None:
+        super().__init__(f"{role} {wid} died (exit code {exitcode})")
+        self.wid = wid
+        self.exitcode = exitcode
+
+
+class WorkerPool:
+    """*n* forked workers, each running ``target(conn, wid, *args)`` over its
+    own duplex pipe — the one fork pool of the harness (sharded jobs here,
+    parameter sweeps in :mod:`repro.harness.sweep`).
+
+    Workers are forked, so *args* (a sharded worker's built ``Job``) are
+    inherited, never pickled.  ``recv`` turns a dead worker's EOF into
+    :class:`WorkerDied`; ``close`` works whatever state the workers are in.
+    """
+
+    def __init__(self, n: int, target: Callable, args: tuple = (), role: str = "worker") -> None:
+        self._ctx = mp.get_context("fork")
+        self._target = target
+        self._args = args
+        self._role = role
+        self._conns: List[Any] = [None] * n
+        self._procs: List[Any] = [None] * n
+        for wid in range(n):
+            self.spawn(wid)
+
+    def spawn(self, wid: int) -> None:
+        """Fork worker *wid*, reaping the one it replaces (if any)."""
+        if self._procs[wid] is not None:
+            self._conns[wid].close()
+            self._procs[wid].join()
+        parent_conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(target=self._target, args=(child_conn, wid, *self._args), daemon=True)
+        proc.start()
+        # Closed before any later fork, so only this worker holds the child
+        # end: its exit is an EOF on parent_conn.
+        child_conn.close()
+        self._conns[wid] = parent_conn
+        self._procs[wid] = proc
+
+    def send(self, wid: int, msg: Any) -> None:
+        self._conns[wid].send(msg)
+
+    def recv(self, wid: int) -> Any:
+        try:
+            return self._conns[wid].recv()
+        except EOFError:
+            proc = self._procs[wid]
+            proc.join()
+            raise WorkerDied(self._role, wid, proc.exitcode) from None
+
+    def wait(self, wids) -> List[int]:
+        """Block until a worker in *wids* has a message or has exited;
+        return every such wid, sorted."""
+        owner: Dict[Any, int] = {}
+        for wid in wids:
+            owner[self._conns[wid]] = wid
+            owner[self._procs[wid].sentinel] = wid
+        return sorted({owner[ready] for ready in _wait_ready(list(owner))})
+
+    def close(self) -> None:
+        """Tell every worker to exit, join it, terminate stragglers."""
+        for conn in self._conns:
+            try:
+                # An explicit op rather than EOF: workers forked later
+                # inherit the parent end of earlier workers' pipes, so
+                # closing it here alone never EOFs a worker blocked in recv().
+                conn.send(("exit",))
+            except OSError:
+                pass  # worker already finished or died
+            conn.close()
+        for proc in self._procs:
+            proc.join(30)
+            if proc.is_alive():  # pragma: no cover - hung worker backstop
+                proc.terminate()
+                proc.join()
+
+
 # ---------------------------------------------------------------- worker side
 
 
-def _shard_worker_main(job, plan: ShardPlan, shard_id: int, conn) -> None:
+def _shard_worker_main(conn, shard_id: int, job, plan: ShardPlan) -> None:
     """Forked worker: own Simulator copy, window loop, audited finalize."""
     try:
         _shard_worker_loop(job, plan, shard_id, conn)
@@ -754,17 +842,13 @@ def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
             )
             conn.send(("released", sim.peek()))
         elif op == "exit":
-            # Teardown (taint/fallback paths): an explicit op rather than
-            # EOF, because sibling workers inherit this pipe's parent end
-            # across the sequential forks — closing it in the parent alone
-            # never EOFs a worker blocked in recv().
-            return
+            return  # WorkerPool.close (taint/fallback/error teardown)
         elif op == "finish":
             until, audit, allow_lost = cmd[1], cmd[2], cmd[3]
             if held:  # pragma: no cover - parent drains deferrals first
                 raise RuntimeError("finish with unmerged deferred frames")
-            res = _finalize_shard(job, plan, shard_id, until, audit, allow_lost)
-            res["post_release_rx"] = (
+            outcome = _finalize_shard(job, until, audit, allow_lost)
+            outcome["post_release_rx"] = (
                 sum(
                     fab.endpoints[p].frames_received
                     for p in local_set
@@ -774,27 +858,20 @@ def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
                 if release_rx is not None
                 else 0
             )
-            conn.send(("result", res))
+            conn.send(("result", outcome, job._result(plan.local_procs[shard_id])))
             return
         else:  # pragma: no cover - protocol error
             raise RuntimeError(f"unknown shard command {op!r}")
 
 
-def _finalize_shard(
-    job, plan: ShardPlan, shard_id: int, until, audit: bool, allow_lost: bool
-) -> dict:
-    """Per-shard teardown: serial ``Job.run`` epilogue projected onto the
-    shard's processes, the balance audit included, returned picklable."""
-    sim = job.sim
-    fab = job.fabric
+def _finalize_shard(job, until, audit: bool, allow_lost: bool) -> dict:
+    """Per-shard outcome: the serial ``Job.run`` epilogue's checks projected
+    onto the shard's processes, the balance audit included.  Recorded, not
+    raised — the parent raises after seeing every shard."""
     error = None
     try:
         job._check_guard_violations()
-        blocked = {
-            p.name: (p._waiting_on.label if p._waiting_on is not None else "<runnable>")
-            for proc, p in job.processes.items()
-            if p.alive and proc not in job.finish_times
-        }
+        blocked = job._blocked()
         exceptions = [
             (proc, type(p.exception).__name__, str(p.exception))
             for proc, p in sorted(job.processes.items())
@@ -805,7 +882,7 @@ def _finalize_shard(
         # no DeadlockError, no lost-rank MpiError about to be raised).
         # `blocked` is shard-local here — a remote shard's deadlock makes
         # the parent raise before it ever reads this shard's audit state.
-        lost = sorted(job.membership.lost_ranks)
+        lost = job.membership.lost_ranks
         skip = bool(exceptions)
         if blocked and until is None and not (lost and allow_lost):
             skip = True
@@ -817,29 +894,14 @@ def _finalize_shard(
         error = (type(exc).__name__, str(exc), traceback.format_exc())
         blocked = {}
         exceptions = []
-    local_procs = plan.local_procs[shard_id]
-    interner = job.interner
     return {
-        "shard": shard_id,
         "error": error,
         "exceptions": exceptions,
         "blocked": blocked,
-        "lost_ranks": sorted(job.membership.lost_ranks),
-        "finish_times": dict(job.finish_times),
-        "app_results": dict(job.app_results),
-        "stats": {p: job.protocols[p].stats() for p in local_procs},
-        "fabric_stats": fab.stats(),
-        "frames": fab.total_frames,
-        "bytes": fab.total_bytes,
-        "by_kind": dict(fab.frames_by_kind),
-        "events": sim.events_dispatched,
         "crash_fired": job._crash_fired,
-        "now": sim.now,
-        "interned": (interner.hits, interner.misses),
         "traffic_committed": (
             dict(job.traffic._committed) if job.traffic is not None else None
         ),
-        "stranded_by_site": job._strand_attribution(),
     }
 
 
@@ -862,8 +924,6 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
     byte-equivalent to the serial engine's (or the serial result itself,
     annotated with the fallback reasons, when a hazard forbids sharding).
     """
-    from repro.harness.runner import JobResult  # local: runner imports us
-
     if job._app_factory is None:
         raise RuntimeError("run_parallel before launch()")
     if audit is None:
@@ -885,9 +945,6 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
         return result
     lookahead = plan.lookahead
     n_shards = plan.n_shards
-    ctx = mp.get_context("fork")
-    conns = []
-    workers = []
     windows = 0
     released = False
     release_comp = 0
@@ -899,7 +956,7 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
     def barrier_round() -> None:
         nonlocal peeks, held, max_wake, max_crash, windows
         new_peeks, new_held, new_infos, wake, crash, got_exports = _collect_barrier(
-            conns, pending
+            pool, pending
         )
         peeks, held = new_peeks, new_held
         windows += 1
@@ -952,26 +1009,19 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
         if max_crash is not None and max_crash >= t_done:
             raise _DrainRace("crash at/after completion")
         for sid in range(n_shards):
-            conns[sid].send(("release", last_proc))
+            pool.send(sid, ("release", last_proc))
         for sid in range(n_shards):
-            peeks[sid] = _recv(conns[sid], "released")[1]
+            peeks[sid] = _recv(pool, sid, "released")[1]
         released = True
         release_comp = comp
         return True
 
+    # Forked once per job: each worker inherits the built Job.  A worker
+    # that dies hard surfaces as WorkerDied (a RuntimeError naming the
+    # shard and its exit code) from the first read that meets its EOF.
+    pool = WorkerPool(n_shards, _shard_worker_main, (job, plan), role="shard")
     try:
-        for sid in range(n_shards):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(job, plan, sid, child_conn),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            conns.append(parent_conn)
-            workers.append(proc)
-        peeks = [_recv(conns[s], "ready")[1] for s in range(n_shards)]
+        peeks = [_recv(pool, s, "ready")[1] for s in range(n_shards)]
         pending: List[List[Any]] = [[] for _ in range(n_shards)]
         held = [False] * n_shards
         last_horizon = 0.0
@@ -993,7 +1043,7 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
                 break
             horizon = final_t + lookahead
             for sid in range(n_shards):
-                conns[sid].send(("step", horizon, None, pending[sid]))
+                pool.send(sid, ("step", horizon, None, pending[sid]))
                 pending[sid] = []
             barrier_round()
             last_horizon = max(last_horizon, horizon)
@@ -1007,7 +1057,7 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
             # queue undispatched (the in-flight strand audit sees them).
             while True:
                 for sid in range(n_shards):
-                    conns[sid].send(("step", None, until, pending[sid]))
+                    pool.send(sid, ("step", None, until, pending[sid]))
                     pending[sid] = []
                 barrier_round()
                 if attempt_release():
@@ -1016,9 +1066,10 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
                 if not live and not any(pending) and not any(held):
                     break
         for sid in range(n_shards):
-            conns[sid].send(("finish", until, audit, allow_lost_ranks))
-        shard_results = [_recv(conns[sid], "result")[1] for sid in range(n_shards)]
-        if tie_release and any(res["post_release_rx"] for res in shard_results):
+            pool.send(sid, ("finish", until, audit, allow_lost_ranks))
+        replies = [_recv(pool, sid, "result") for sid in range(n_shards)]
+        outcomes = [reply[1] for reply in replies]
+        if tie_release and any(out["post_release_rx"] for out in outcomes):
             raise _DrainRace("post-release delivery under tied completion")
     except _DrainRace as race:
         result = job._run_serial_fallback(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
@@ -1032,16 +1083,7 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
         }
         return result
     finally:
-        for conn in conns:
-            try:
-                conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass  # worker already finished or died
-            conn.close()
-        for proc in workers:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - hung worker backstop
-                proc.terminate()
+        pool.close()
     meta = {
         "workers": n_shards,
         "requested": requested,
@@ -1051,36 +1093,37 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
         "windows": windows,
     }
     return _merge_results(
-        job, plan, shard_results, JobResult, meta,
+        job, plan, outcomes, [reply[2] for reply in replies], meta,
         until=until, allow_lost_ranks=allow_lost_ranks,
         release_comp=release_comp,
     )
 
 
-def _recv(conn, expected: str, also: Tuple[str, ...] = ()):
-    msg = conn.recv()
+def _recv(pool: WorkerPool, sid: int, expected: str, also: Tuple[str, ...] = ()):
+    msg = pool.recv(sid)
     if msg[0] == "crash":
-        _name, text, tb = msg[1], msg[2], msg[3]
-        raise RuntimeError(f"shard worker died: {_name}: {text}\n{tb}")
+        name, text, tb = msg[1], msg[2], msg[3]
+        raise RuntimeError(f"shard {sid} worker raised {name}: {text}\n{tb}")
     if msg[0] != expected and msg[0] not in also:  # pragma: no cover - protocol error
         raise RuntimeError(f"expected {expected!r} from shard, got {msg[0]!r}")
     return msg
 
 
-def _collect_barrier(conns, pending):
+def _collect_barrier(pool: WorkerPool, pending):
     """Gather one barrier round: route every export to its destination
     shard's pending-import list; return the per-shard peeks, held-local
     flags, local-completion infos, the max drain-wake and crash times
     reported this round, and whether any shard exported anything."""
-    peeks: List[Optional[float]] = [None] * len(conns)
-    held = [False] * len(conns)
-    infos: List[Optional[tuple]] = [None] * len(conns)
+    n_shards = len(pending)
+    peeks: List[Optional[float]] = [None] * n_shards
+    held = [False] * n_shards
+    infos: List[Optional[tuple]] = [None] * n_shards
     max_wake: Optional[float] = None
     max_crash: Optional[float] = None
     got_exports = False
     taint: Optional[str] = None
-    for sid, conn in enumerate(conns):
-        msg = _recv(conn, "barrier", also=("taint",))
+    for sid in range(n_shards):
+        msg = _recv(pool, sid, "barrier", also=("taint",))
         if msg[0] == "taint":
             # Collect the remaining replies before raising so no worker is
             # left blocked mid-send when the pool is torn down.
@@ -1104,131 +1147,102 @@ def _collect_barrier(conns, pending):
     return peeks, held, infos, max_wake, max_crash, got_exports
 
 
+def _fold(values: list):
+    """Sum per-shard values: ints add, tuples and dicts add cell by cell."""
+    first = values[0]
+    if isinstance(first, dict):
+        keys = dict.fromkeys(key for value in values for key in value)
+        return {key: _fold([v[key] for v in values if key in v]) for key in keys}
+    if isinstance(first, tuple):
+        return tuple(map(sum, zip(*values)))
+    return sum(values)
+
+
 def _merge_results(
-    job, plan, shard_results, JobResult, meta, until, allow_lost_ranks, release_comp=0
+    job, plan, outcomes, parts, meta, until, allow_lost_ranks, release_comp=0
 ):
+    """Re-raise what the serial epilogue would raise, then merge the
+    per-shard ``JobResult`` parts into the serial engine's result."""
+    from repro.harness.runner import JobResult  # local: runner imports us
     from repro.mpi.errors import DeadlockError, MpiError
 
-    for res in shard_results:
-        if res["error"] is not None:
-            name, text, tb = res["error"]
+    for sid, out in enumerate(outcomes):
+        if out["error"] is not None:
+            name, text, tb = out["error"]
             exc_type = AssertionError if name == "AssertionError" else RuntimeError
-            raise exc_type(f"shard {res['shard']} finalize failed: {name}: {text}\n{tb}")
-    exceptions = sorted(
-        (exc for res in shard_results for exc in res["exceptions"]),
-    )
+            raise exc_type(f"shard {sid} finalize failed: {name}: {text}\n{tb}")
+    exceptions = sorted(exc for out in outcomes for exc in out["exceptions"])
     if exceptions:
         proc, name, text = exceptions[0]
         raise RuntimeError(f"process {proc} died in sharded run: {name}: {text}")
-    lost = shard_results[0]["lost_ranks"]
-    crash_fired = shard_results[0]["crash_fired"]
-    for res in shard_results[1:]:
+    lost = parts[0].lost_ranks
+    crash_fired = outcomes[0]["crash_fired"]
+    if any(
+        part.lost_ranks != lost or out["crash_fired"] != crash_fired
+        for out, part in zip(outcomes, parts)
+    ):
         # Crash replay is global state every shard must agree on.
-        if res["lost_ranks"] != lost or res["crash_fired"] != crash_fired:
-            raise AssertionError(
-                "shards disagree on crash replay: "
-                f"lost_ranks {[r['lost_ranks'] for r in shard_results]}, "
-                f"crash_fired {[r['crash_fired'] for r in shard_results]}"
-            )
+        raise AssertionError(
+            "shards disagree on crash replay: "
+            f"lost_ranks {[part.lost_ranks for part in parts]}, "
+            f"crash_fired {[out['crash_fired'] for out in outcomes]}"
+        )
     blocked: Dict[str, str] = {}
-    for res in shard_results:
-        blocked.update(res["blocked"])
+    for out in outcomes:
+        blocked.update(out["blocked"])
     if blocked and until is None and not (lost and allow_lost_ranks):
         raise DeadlockError(blocked)
     if lost and not allow_lost_ranks:
         raise MpiError(f"application lost ranks {lost}: every replica failed")
+    fabric = _fold([part.fabric for part in parts])
     # Cross-shard relay conservation: what left one shard entered another.
-    fstats = [res["fabric_stats"] for res in shard_results]
-    for frame_key, env_key in (
+    for out_key, in_key in (
         ("frames_exported", "frames_imported"),
         ("envs_exported", "envs_imported"),
     ):
-        out = sum(s[frame_key] for s in fstats)
-        back = sum(s[env_key] for s in fstats)
-        if out != back:
-            raise AssertionError(f"relay leak: {frame_key} {out} != {env_key} {back}")
-    merged_fab: Dict[str, Any] = {}
-    sum_keys = (
-        "frames_acquired", "frames_allocated", "frames_released",
-        "frames_stranded", "envs_stranded", "envs_duplicated",
-        "fault_drops", "fault_dups", "fault_delays",
-        "frames_exported", "frames_imported", "envs_exported", "envs_imported",
-        "frame_pool_size", "frames_trimmed", "total_frames", "total_bytes",
-    )
-    for key in sum_keys:
-        merged_fab[key] = sum(s[key] for s in fstats)
-    # An imported frame is re-acquired in its destination shard; subtract
-    # the double count so the merged figure equals the serial acquire count.
-    merged_fab["frames_acquired"] -= merged_fab["frames_imported"]
-    merged_fab["frame_high_water"] = max(s["frame_high_water"] for s in fstats)
-    sites: Dict[str, List[int]] = {}
-    for s in fstats:
-        for site, (nf, ne) in s["strands_by_site"].items():
-            cell = sites.setdefault(site, [0, 0])
-            cell[0] += nf
-            cell[1] += ne
-    merged_fab["strands_by_site"] = {k: tuple(v) for k, v in sites.items()}
-    by_kind: Dict[str, int] = {}
-    for res in shard_results:
-        for kind, n in res["by_kind"].items():
-            by_kind[kind] = by_kind.get(kind, 0) + n
-    finish_times: Dict[int, float] = {}
-    app_results: Dict[int, Any] = {}
-    stats: Dict[int, dict] = {}
-    for res in shard_results:
-        finish_times.update(res["finish_times"])
-        app_results.update(res["app_results"])
-        stats.update(res["stats"])
-    stats = dict(sorted(stats.items()))
-    finish_times = dict(sorted(finish_times.items()))
-    app_results = dict(sorted(app_results.items()))
-    # Crash callbacks replay in every shard; each fires once per shard but
-    # must count once globally.  `release_comp` subtracts the drain-release
-    # wake of the globally last finisher — the one park the serial engine
-    # never performs (it flips the all-done flag inside its own finish).
-    events = sum(res["events"] for res in shard_results)
+        if fabric[out_key] != fabric[in_key]:
+            raise AssertionError(
+                f"relay leak: {out_key} {fabric[out_key]} != {in_key} {fabric[in_key]}"
+            )
+    fabric["frame_high_water"] = max(part.fabric["frame_high_water"] for part in parts)
+    # The three corrections.  An imported frame is re-acquired in its
+    # destination shard: subtract the double count so the merged figure
+    # equals the serial acquire count.  Crash callbacks replay in every
+    # shard; each fires once per shard but must count once globally.
+    # `release_comp` subtracts the drain-release wake of the globally last
+    # finisher — the one park the serial engine never performs (it flips
+    # the all-done flag inside its own finish).
+    fabric["frames_acquired"] -= fabric["frames_imported"]
+    events = sum(part.events for part in parts)
     events -= (plan.n_shards - 1) * crash_fired
     events -= release_comp
-    stranded_by_site: Dict[str, Dict[str, int]] = {}
-    for res in shard_results:
-        for site, cell in res["stranded_by_site"].items():
-            entry = stranded_by_site.setdefault(site, {"frames": 0, "envs": 0})
-            entry["frames"] += cell["frames"]
-            entry["envs"] += cell["envs"]
     requests = {}
     if job.traffic is not None:
         book = job.traffic
-        for res in shard_results:
-            committed = res["traffic_committed"] or {}
-            for rank, done in committed.items():
+        for out in outcomes:
+            for rank, done in (out["traffic_committed"] or {}).items():
                 book.commit(rank, done)
         requests = book.totals()
         book.audit()
-    interned = sum(res["interned"][0] for res in shard_results)
-    misses = sum(res["interned"][1] for res in shard_results)
-    result = JobResult(
+    finish_times = _per_proc(part.finish_times for part in parts)
+    return JobResult(
         runtime=max(finish_times.values()) if finish_times else max(
-            res["now"] for res in shard_results
+            part.runtime for part in parts
         ),
         finish_times=finish_times,
-        app_results=app_results,
-        stats=stats,
-        fabric={
-            "frames": sum(res["frames"] for res in shard_results),
-            "bytes": sum(res["bytes"] for res in shard_results),
-            "by_kind": by_kind,
-            **merged_fab,
-        },
+        app_results=_per_proc(part.app_results for part in parts),
+        stats=_per_proc(part.stats for part in parts),
+        fabric=fabric,
         events=events,
-        payload_interned=interned,
-        payload_misses=misses,
-        requests_offered=requests.get("requests_offered", 0),
-        requests_admitted=requests.get("requests_admitted", 0),
-        requests_rejected=requests.get("requests_rejected", 0),
-        requests_completed=requests.get("requests_completed", 0),
-        requests_lost=requests.get("requests_lost", 0),
+        payload_interned=sum(part.payload_interned for part in parts),
+        payload_misses=sum(part.payload_misses for part in parts),
+        **requests,
         lost_ranks=lost,
-        stranded_by_site=stranded_by_site,
+        stranded_by_site=_fold([part.stranded_by_site for part in parts]),
+        parallel=meta,
     )
-    result.parallel = meta
-    return result
+
+
+def _per_proc(dicts) -> dict:
+    """Union of the shards' disjoint per-process dicts, in proc order."""
+    return dict(sorted({proc: v for d in dicts for proc, v in d.items()}.items()))

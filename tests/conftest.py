@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable, Optional
 
 import pytest
@@ -59,3 +60,21 @@ def sim():
     from repro.sim.kernel import Simulator
 
     return Simulator()
+
+
+def crash_sweep_worker_at(monkeypatch, index: int) -> None:
+    """Make the pooled sweep worker that runs config *index* hard-exit
+    (code 43), standing in for an OOM kill or a segfault.  Forked workers
+    inherit the patch; the parent itself (serial runs, ``--verify``
+    re-execution) never exits."""
+    import repro.harness.sweep as sweep
+
+    real = sweep._execute_point
+    parent = os.getpid()
+
+    def execute(point, cache=None):
+        if point.index == index and os.getpid() != parent:
+            os._exit(43)
+        return real(point, cache)
+
+    monkeypatch.setattr(sweep, "_execute_point", execute)

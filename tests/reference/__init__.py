@@ -12,7 +12,9 @@ unobservable:
 * :mod:`reference.collectives` — the ``*_spec`` generator-tower
   collectives;
 * :mod:`reference.fingerprint` — :func:`fingerprint`, the engine
-  fingerprint the suites compare.
+  fingerprint the suites compare;
+* :mod:`reference.apps` — the application generators the suites run
+  under both engines.
 
 Test modules import it as ``reference`` (``tests/`` is on ``sys.path``
 under pytest).

@@ -9,9 +9,10 @@ the outcome is exactly one taxonomy bucket, and one integer reproduces
 the run byte-identically (fingerprint equality).
 """
 
+import dataclasses
 import json
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.harness.campaign import (
     DEFAULT_PROTOCOLS,
@@ -35,6 +36,24 @@ from repro.harness.runner import Job, cluster_for
     seed=st.integers(min_value=0, max_value=10_000),
     protocol=st.sampled_from(DEFAULT_PROTOCOLS),
 )
+# Seeds whose drop/partition mix once leaked envelopes: a second copy of a
+# still-held early arrival displaced the first from the reorder buffer.
+@example(seed=44, protocol="mirror")
+@example(seed=49, protocol="mirror")
+@example(seed=173, protocol="mirror")
+@example(seed=185, protocol="mirror")
+@example(seed=198, protocol="mirror")
+@example(seed=213, protocol="mirror")
+@example(seed=278, protocol="mirror")
+@example(seed=290, protocol="mirror")
+@example(seed=293, protocol="mirror")
+@example(seed=368, protocol="mirror")
+@example(seed=399, protocol="mirror")
+@example(seed=3527, protocol="mirror")
+@example(seed=201, protocol="leader")
+@example(seed=290, protocol="leader")
+@example(seed=290, protocol="sdr")
+@example(seed=292, protocol="redmpi")
 def test_every_seeded_run_balances_and_classifies(seed, protocol):
     rec = run_case(protocol, seed)
     # leak balance + per-site sum consistency: run_case records any
@@ -53,6 +72,13 @@ def test_every_seeded_run_balances_and_classifies(seed, protocol):
     payload = json.loads(rec.fingerprint)
     assert payload["outcome"] == rec.outcome
     assert payload["seed"] == seed
+
+
+def test_displaced_early_arrival_is_released_on_hpccg():
+    """hpccg under mirror, seed 15: a resent copy of a held early arrival
+    used to displace the first copy from the reorder buffer unreleased."""
+    rec = run_case("mirror", 15, dataclasses.replace(CampaignConfig(), workload="hpccg"))
+    assert rec.invariant_error is None
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.harness.cli import main
 from repro.harness.runner import Job, cluster_for
-from tests.conftest import run_app
+from tests.conftest import crash_sweep_worker_at, run_app
 
 
 class TestCli:
@@ -111,7 +111,7 @@ class TestSweepCli:
         assert "INVARIANT VIOLATION" in capsys.readouterr().err
 
     def test_worker_crash_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "1")
+        crash_sweep_worker_at(monkeypatch, 2)
         assert main(self.ARGS + ["--workers", "2"]) == 1
         assert "lost to worker crashes" in capsys.readouterr().err
 

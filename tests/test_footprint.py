@@ -34,10 +34,10 @@ from repro.core.interpose import set_filter_guard
 from repro.core.recovery import RecoveryManager
 from repro.core.sdr import SdrProtocol
 from repro.harness.runner import Job, _PROTOCOL_CLASSES, cluster_for
-from repro.mpi.datatypes import Phantom
 from repro.mpi.errors import DeadlockError
 
 from reference import ReferenceJob, fingerprint
+from reference.apps import mixed_traffic
 
 PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
 
@@ -48,25 +48,6 @@ def _job(protocol="native", n=2, **kwargs):
     else:
         cfg = ReplicationConfig(degree=2, protocol=protocol)
     return ReferenceJob(n, cfg=cfg, cluster=cluster_for(n, cfg.degree), **kwargs)
-
-
-def mixed_traffic(mpi, rounds=4, nbytes=65536):
-    """Eager p2p + ANY_SOURCE + rendezvous + collectives: every path the
-    shared state could possibly influence."""
-    right = (mpi.rank + 1) % mpi.size
-    left = (mpi.rank - 1) % mpi.size
-    acc = 0.0
-    for r in range(rounds):
-        yield from mpi.sendrecv(Phantom(nbytes), dest=right, source=left, sendtag=1)
-        if mpi.rank == 0:
-            for _ in range(mpi.size - 1):
-                d, _st = yield from mpi.recv(source=mpi.ANY_SOURCE, tag=2)
-                acc += float(d[0])
-        else:
-            yield from mpi.send(np.array([float(mpi.rank + r)]), dest=0, tag=2)
-        acc += float((yield from mpi.allreduce(float(mpi.rank), op="sum")))
-        yield from mpi.compute(1e-6)
-    return acc
 
 
 class TestSharedStateEquivalence:

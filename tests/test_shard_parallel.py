@@ -27,6 +27,9 @@ Three layers pinned here:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -35,6 +38,7 @@ from repro.harness.campaign import CampaignConfig
 from repro.harness.runner import Job, cluster_for
 from repro.network.model import FaultPlan, LinkFaultWindow
 from repro.scenarios import get_scenario, ring_collectives
+from repro.sim import shard
 from repro.sim.shard import (
     ParallelConfig,
     ShardPlan,
@@ -322,6 +326,23 @@ def test_run_parallel_requires_launch():
     job = Job(8, cfg=cfg, cluster=cluster_for(8, 2), parallel=ParallelConfig(workers=2))
     with pytest.raises(RuntimeError, match="launch"):
         run_parallel(job)
+
+
+def test_shard_worker_that_dies_hard_raises_naming_it(monkeypatch):
+    """A worker killed without a word (OOM kill, segfault) surfaces as a
+    RuntimeError naming the shard and its exit code — never a bare EOF —
+    and the pool reaps every worker on the way out."""
+    real_loop = shard._shard_worker_loop
+
+    def loop(job, plan, shard_id, conn):
+        if shard_id == 1:
+            os._exit(43)
+        return real_loop(job, plan, shard_id, conn)
+
+    monkeypatch.setattr(shard, "_shard_worker_loop", loop)
+    with pytest.raises(RuntimeError, match=r"shard 1 died \(exit code 43\)"):
+        _run("sdr", 16, workers=2, iters=1, nbytes=256)
+    assert multiprocessing.active_children() == []
 
 
 def test_fingerprint_excludes_memory_policy_counters():

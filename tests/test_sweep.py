@@ -28,6 +28,7 @@ from repro.harness.sweep import (
     run_sweep,
     verify_sample,
 )
+from tests.conftest import crash_sweep_worker_at
 
 SMALL = SweepSpec(
     protocols=("native", "sdr"), degrees=(2,), ranks=(4,),
@@ -147,7 +148,7 @@ class TestPooledExecution:
         assert [r["index"] for r in pooled.records] == list(range(SMALL.n_configs))
 
     def test_worker_crash_marks_config_failed_and_keeps_draining(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "2")
+        crash_sweep_worker_at(monkeypatch, 2)
         spec = SweepSpec(
             protocols=("native", "sdr"), degrees=(2,), ranks=(4,),
             workloads=("ring",), mixes=("clean",), seeds=(0, 1, 2),

@@ -25,7 +25,6 @@ holding while trims drop pooled shells.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +35,7 @@ from repro.mpi.datatypes import PayloadInterner, Phantom
 from repro.mpi.errors import DeadlockError
 
 from reference import ALL_REFERENCE, ReferenceJob, fingerprint
+from reference.apps import mixed_traffic
 
 PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
 
@@ -46,26 +46,6 @@ def _job(protocol="native", n=4, **kwargs):
     else:
         cfg = ReplicationConfig(degree=2, protocol=protocol)
     return ReferenceJob(n, cfg=cfg, cluster=cluster_for(n, cfg.degree), **kwargs)
-
-
-def mixed_traffic(mpi, rounds=3, nbytes=65536):
-    """Eager p2p + ANY_SOURCE + rendezvous Phantoms + collectives: every
-    path the working-set layers touch (interned Phantom payloads, bursty
-    arena use, wildcard match lanes)."""
-    right = (mpi.rank + 1) % mpi.size
-    left = (mpi.rank - 1) % mpi.size
-    acc = 0.0
-    for r in range(rounds):
-        yield from mpi.sendrecv(Phantom(nbytes), dest=right, source=left, sendtag=1)
-        if mpi.rank == 0:
-            for _ in range(mpi.size - 1):
-                d, _st = yield from mpi.recv(source=mpi.ANY_SOURCE, tag=2)
-                acc += float(d[0])
-        else:
-            yield from mpi.send(np.array([float(mpi.rank + r)]), dest=0, tag=2)
-        acc += float((yield from mpi.allreduce(float(mpi.rank), op="sum")))
-        yield from mpi.compute(1e-6)
-    return acc
 
 
 def _run_flagged(protocol, n, rounds, crash_at=None, **flags):
